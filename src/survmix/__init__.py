@@ -12,12 +12,11 @@ from .frailty import (CurveTable, MixtureArm, TwoArmTruth, cumulative_hazard,
                       default_grid, hazard_ratio, limit_hazard_ratio,
                       marginal_density, marginal_hazard, marginal_survival,
                       survivor_composition, truth_curves)
-from .trial import (CensoringSpec, Dataset, IndividualRecord, TrialConfig,
-                    apply_censoring, simulate)
+from .trial import CensoringSpec, Dataset, TrialConfig, apply_censoring, simulate
 
 __all__ = [
     "CensoringSpec", "CoxFit", "CurveTable", "Dataset", "EstimandReport",
-    "EstimatedCurves", "IndividualRecord", "MixtureArm", "PeriodFit",
+    "EstimatedCurves", "MixtureArm", "PeriodFit",
     "StepCurve", "TrialConfig", "TwoArmTruth", "apply_censoring",
     "breslow_baseline", "censoring_sensitivity", "cox_fit", "cox_fit_dataset",
     "cumulative_hazard", "default_grid", "fit_report", "hazard_ratio",

@@ -9,6 +9,7 @@ results such as an unconverged fit), 1 input error, 2 I/O error.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -17,12 +18,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, default_config, load_config
+from .config import default_config, load_config
 from .estimands import (EstimatedCurves, censoring_sensitivity, landmark_contrast,
                         log_survival_ratio, rmst)
 from .estimators import cox_fit, fit_report, period_specific_cox
-from .frailty import truth_curves
-from .trial import CensoringSpec, simulate
+from .frailty import default_grid, truth_curves
+from .trial import CensoringSpec, covariate_matrix, simulate
 
 DATASET_FILE = "dataset.csv"
 CURVES_FILE = "curves.csv"
@@ -45,9 +46,14 @@ def _fmt(x):
 
 def _atomic_write(path, text):
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_csv(path, header, rows):
@@ -79,26 +85,6 @@ def write_curve_tables(table, out_dir):
     _write_csv(hr_path, ("t", "hazard_control", "hazard_research", "hazard_ratio"),
                hr_rows)
     return curves_path, hr_path
-
-
-def write_step_curves(path, entries):
-    """Estimated step curves in the curve-table schema plus an estimator column.
-
-    `entries` is an iterable of (arm_label, estimator_label, curve, column)
-    with column 'survival' or 'cum_hazard'; the inapplicable columns are left
-    empty.
-    """
-    rows = []
-    for arm, estimator, curve, column in entries:
-        if column not in ("survival", "cum_hazard"):
-            raise InputError(f"unknown step-curve column {column!r}")
-        for t, v in zip(curve.times, curve.values):
-            survival = _fmt(v) if column == "survival" else ""
-            cum_hazard = _fmt(v) if column == "cum_hazard" else ""
-            rows.append((_fmt(t), arm, survival, "", cum_hazard, estimator))
-    _write_csv(path, ("t", "arm", "survival", "hazard", "cum_hazard", "estimator"),
-               rows)
-    return path
 
 
 def write_dataset(dataset, out_dir, reveal_latent=False):
@@ -168,6 +154,19 @@ def read_dataset_csv(path):
     out["event"] = out["event"].astype(bool)
     if not np.isin(out["arm"], (0, 1)).all():
         raise InputError(f"{path}: arm column must be 0 or 1")
+    time = out["observed_time"]
+    bad = np.flatnonzero(~np.isfinite(time) | (time <= 0.0))
+    if bad.size:
+        row = bad[0]
+        raise InputError(f"{path} row {row + 2}: observed_time must be finite and "
+                         f"> 0, got {time[row]:g}")
+    # a stable sort puts each id's first row first; the rows after it repeat it
+    ids = out["id"]
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if repeats.size:
+        row = repeats.min()
+        raise InputError(f"{path} row {row + 2}: duplicate id {ids[row]}")
     return out
 
 
@@ -209,18 +208,7 @@ def parse_censoring_list(raw):
                         f"bad censoring spec {token!r}; use none, admin:<t>, "
                         "exp:<rate> or admin:<t>+exp:<rate>"
                     ) from None
-        if admin_time is not None and rate is not None:
-            kind = "both"
-        elif admin_time is not None:
-            kind = "administrative"
-        elif rate is not None:
-            kind = "exponential"
-        else:
-            kind = "none"
-        try:
-            specs.append(CensoringSpec(kind=kind, admin_time=admin_time, rate=rate))
-        except ValueError as err:
-            raise InputError(str(err)) from None
+        specs.append(CensoringSpec.from_parameters(admin_time, rate))
     if not specs:
         raise InputError("empty censoring spec list")
     return specs
@@ -242,7 +230,7 @@ def _ensure_out_dir(args, cfg):
 def cmd_truth(args):
     cfg = _load_run_config(args)
     out_dir = _ensure_out_dir(args, cfg)
-    grid = np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points)
+    grid = default_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points)
     table = truth_curves(cfg.truth, grid)
     curves_path, hr_path = write_curve_tables(table, out_dir)
     print(f"wrote {curves_path} and {hr_path}")
@@ -258,20 +246,6 @@ def cmd_simulate(args):
     return 0
 
 
-def _covariate_matrix_from_columns(columns, covariates, path):
-    cols = []
-    for name in covariates:
-        if name not in ("arm", "stratum"):
-            raise InputError(f"unknown covariate {name!r}; use arm or arm,stratum")
-        if name not in columns:
-            raise InputError(
-                f"{path} has no {name!r} column; simulate with --reveal-latent "
-                "to keep latent columns"
-            )
-        cols.append(columns[name].astype(float))
-    return np.column_stack(cols)
-
-
 def cmd_fit(args):
     cfg = _load_run_config(args)
     columns = read_dataset_csv(args.dataset)
@@ -279,39 +253,40 @@ def cmd_fit(args):
         covariates = tuple(args.covariates.replace(",", " ").split())
     else:
         covariates = cfg.covariates
-    x = _covariate_matrix_from_columns(columns, covariates, args.dataset)
+    try:
+        x = covariate_matrix(columns, covariates)
+    except KeyError as err:
+        raise InputError(
+            f"{args.dataset} has no {err.args[0]!r} column; simulate with "
+            "--reveal-latent to keep latent columns"
+        ) from None
     out_dir = _ensure_out_dir(args, cfg)
 
-    try:
-        if args.cutpoints is not None:
-            cutpoints = tuple(float(c) for c in args.cutpoints.split(","))
-        else:
-            cutpoints = cfg.cutpoints
-        if cutpoints:
-            period = period_specific_cox(columns["observed_time"],
-                                         columns["event"], x, cutpoints,
-                                         names=covariates)
-            payload = {
-                "cutpoints": list(period.cutpoints),
-                "periods": [
-                    {
-                        "start": a,
-                        "end": b,
-                        "n_entered": n_in,
-                        "n_events": n_ev,
-                        "fit": fit_report(fit) if fit is not None else None,
-                    }
-                    for (a, b), fit, n_ev, n_in in zip(
-                        period.intervals, period.fits, period.n_events,
-                        period.n_entered)
-                ],
-            }
-        else:
-            fit = cox_fit(columns["observed_time"], columns["event"], x,
-                          names=covariates)
-            payload = fit_report(fit)
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    if args.cutpoints is not None:
+        cutpoints = args.cutpoints.split(",")
+    else:
+        cutpoints = cfg.cutpoints
+    if cutpoints:
+        period = period_specific_cox(columns["observed_time"], columns["event"], x,
+                                     cutpoints, names=covariates)
+        payload = {
+            "cutpoints": list(period.cutpoints),
+            "periods": [
+                {
+                    "start": a,
+                    "end": b,
+                    "n_entered": n_in,
+                    "n_events": n_ev,
+                    "fit": fit_report(fit) if fit is not None else None,
+                }
+                for (a, b), fit, n_ev, n_in in zip(
+                    period.intervals, period.fits, period.n_events,
+                    period.n_entered)
+            ],
+        }
+    else:
+        fit = cox_fit(columns["observed_time"], columns["event"], x, names=covariates)
+        payload = fit_report(fit)
 
     path = _write_json(os.path.join(out_dir, FIT_FILE), payload)
     print(f"wrote {path}")
@@ -329,11 +304,8 @@ def cmd_estimands(args):
         ratio_t = args.landmark if args.landmark is not None else cfg.ratio_time
     else:
         columns = read_dataset_csv(args.source)
-        try:
-            source = EstimatedCurves.from_sample(
-                columns["observed_time"], columns["event"], columns["arm"])
-        except ValueError as err:
-            raise InputError(str(err)) from None
+        source = EstimatedCurves.from_sample(
+            columns["observed_time"], columns["event"], columns["arm"])
         # conventions: landmark at median follow-up, RMST to the last event
         median_followup = float(np.median(columns["observed_time"]))
         last_event = float(columns["observed_time"][columns["event"]].max())
@@ -341,14 +313,11 @@ def cmd_estimands(args):
         rmst_tau = args.rmst if args.rmst is not None else last_event
         ratio_t = landmark_t
 
-    try:
-        reports = [
-            landmark_contrast(source, landmark_t, kind="difference"),
-            rmst(source, "difference", rmst_tau),
-            log_survival_ratio(source, ratio_t),
-        ]
-    except ValueError as err:
-        raise InputError(str(err)) from None
+    reports = [
+        landmark_contrast(source, landmark_t, kind="difference"),
+        rmst(source, "difference", rmst_tau),
+        log_survival_ratio(source, ratio_t),
+    ]
     path = _write_json(os.path.join(out_dir, ESTIMANDS_FILE),
                        [_report_payload(r) for r in reports])
     written = [path]
@@ -424,10 +393,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InputError, ConfigError) as err:
-        print(f"survmix: error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except ValueError as err:  # InputError, ConfigError and the domain checks
         print(f"survmix: error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

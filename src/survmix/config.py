@@ -11,8 +11,9 @@ import configparser
 from dataclasses import dataclass
 from importlib import resources
 
-from .frailty import MixtureArm, TwoArmTruth
-from .trial import COUPLINGS, CensoringSpec, TrialConfig
+from .estimators import check_cutpoints
+from .frailty import MixtureArm, TwoArmTruth, default_grid
+from .trial import CensoringSpec, TrialConfig, check_covariates
 
 DEFAULT_SEED = 20260808
 
@@ -67,80 +68,78 @@ def _get(parser, section, key, convert, default, field_kind="value"):
         raise ConfigError(f"{section}.{key}: invalid {field_kind} {raw!r}") from None
 
 
+def _checked(where, check, *args, **kwargs):
+    """check(*args, **kwargs), its ValueError re-raised naming `where`."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{where} {err}") from None
+
+
 def parse_config(text, origin="<config>"):
-    """Parse configuration text into a RunConfig, rejecting unknown keys."""
+    """Parse configuration text into a RunConfig, rejecting unknown keys.
+
+    Every error is a ConfigError naming `origin` and the section or key.
+    """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
         parser.read_string(text, source=origin)
-    except configparser.Error as err:
+        return _run_config(parser)
+    except (configparser.Error, ConfigError) as err:
         raise ConfigError(f"{origin}: {err}") from None
 
+
+def _run_config(parser):
     for section in parser.sections():
         if section not in _SCHEMA:
-            raise ConfigError(f"{origin}: unknown section [{section}]")
+            raise ConfigError(f"unknown section [{section}]")
         unknown = set(parser.options(section)) - _SCHEMA[section]
         if unknown:
-            raise ConfigError(
-                f"{origin}: unknown key {sorted(unknown)[0]!r} in section [{section}]"
-            )
+            raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section [{section}]")
 
     arms = {}
     for label in ("control", "research"):
         section = f"truth.{label}"
         if not parser.has_section(section):
-            raise ConfigError(f"{origin}: missing required section [{section}]")
+            raise ConfigError(f"missing required section [{section}]")
         for key in ("weights", "rates"):
             if not parser.has_option(section, key):
-                raise ConfigError(f"{origin}: missing {section}.{key}")
-        try:
-            arms[label] = MixtureArm(
-                weights=_parse_floats(parser.get(section, "weights"), f"{section}.weights"),
-                rates=_parse_floats(parser.get(section, "rates"), f"{section}.rates"),
-            )
-        except ValueError as err:
-            raise ConfigError(f"{origin}: [{section}] {err}") from None
+                raise ConfigError(f"missing {section}.{key}")
+        arms[label] = _checked(
+            f"[{section}]", MixtureArm,
+            weights=_parse_floats(parser.get(section, "weights"), f"{section}.weights"),
+            rates=_parse_floats(parser.get(section, "rates"), f"{section}.rates"),
+        )
     truth = TwoArmTruth(control=arms["control"], research=arms["research"])
 
-    kind = _get(parser, "censoring", "kind", str, "none")
-    admin_time = _get(parser, "censoring", "admin_time", float, None, "number")
-    rate = _get(parser, "censoring", "rate", float, None, "number")
-    try:
-        censoring = CensoringSpec(kind=kind, admin_time=admin_time, rate=rate)
-    except ValueError as err:
-        raise ConfigError(f"{origin}: [censoring] {err}") from None
-
-    coupling = _get(parser, "trial", "coupling", str, "comonotone")
-    if coupling not in COUPLINGS:
-        raise ConfigError(f"{origin}: trial.coupling must be one of {COUPLINGS}")
-    try:
-        trial = TrialConfig(
-            truth=truth,
-            n_per_arm=_get(parser, "trial", "n_per_arm", int, 500, "integer"),
-            coupling=coupling,
-            censoring=censoring,
-            seed=_get(parser, "trial", "seed", int, DEFAULT_SEED, "integer"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{origin}: [trial] {err}") from None
+    censoring = _checked(
+        "[censoring]", CensoringSpec,
+        kind=_get(parser, "censoring", "kind", str, "none"),
+        admin_time=_get(parser, "censoring", "admin_time", float, None, "number"),
+        rate=_get(parser, "censoring", "rate", float, None, "number"),
+    )
+    trial = _checked(
+        "[trial]", TrialConfig,
+        truth=truth,
+        n_per_arm=_get(parser, "trial", "n_per_arm", int, 500, "integer"),
+        coupling=_get(parser, "trial", "coupling", str, "comonotone"),
+        censoring=censoring,
+        seed=_get(parser, "trial", "seed", int, DEFAULT_SEED, "integer"),
+    )
 
     grid_min = _get(parser, "grid", "min", float, 0.0, "number")
     grid_max = _get(parser, "grid", "max", float, 30.0, "number")
     grid_points = _get(parser, "grid", "points", int, 601, "integer")
-    if grid_min < 0.0 or grid_max <= grid_min or grid_points < 1:
-        raise ConfigError(f"{origin}: [grid] needs 0 <= min < max and points >= 1")
+    _checked("[grid]", default_grid, grid_min, grid_max, grid_points)
 
-    covariates = tuple(
+    covariates = _checked(
+        "fit.covariates:", check_covariates,
         _get(parser, "fit", "covariates", lambda raw: raw.replace(",", " ").split(),
-             ["arm"])
-    )
-    for name in covariates:
-        if name not in ("arm", "stratum"):
-            raise ConfigError(f"{origin}: fit.covariates must be arm or arm, stratum")
+             ["arm"]))
     cutpoints = _get(parser, "fit", "cutpoints",
                      lambda raw: _parse_floats(raw, "fit.cutpoints"), ())
-    if any(b <= a for a, b in zip(cutpoints, cutpoints[1:])) or \
-            any(c <= 0 for c in cutpoints):
-        raise ConfigError(f"{origin}: fit.cutpoints must be positive and increasing")
+    if cutpoints:
+        cutpoints = _checked("fit.cutpoints:", check_cutpoints, cutpoints)
 
     landmark = _get(parser, "estimands", "landmark", float, 1.0, "number")
     rmst_horizon = _get(parser, "estimands", "rmst_horizon", float, 10.0, "number")
@@ -149,9 +148,9 @@ def parse_config(text, origin="<config>"):
     for field, value in (("landmark", landmark), ("rmst_horizon", rmst_horizon),
                          ("ratio_time", ratio_time)):
         if not value > 0.0:
-            raise ConfigError(f"{origin}: estimands.{field} must be > 0")
+            raise ConfigError(f"estimands.{field} must be > 0")
     if replicates < 2:
-        raise ConfigError(f"{origin}: estimands.sensitivity_replicates must be >= 2")
+        raise ConfigError("estimands.sensitivity_replicates must be >= 2")
 
     return RunConfig(
         truth=truth,
@@ -160,7 +159,7 @@ def parse_config(text, origin="<config>"):
         grid_max=grid_max,
         grid_points=grid_points,
         covariates=covariates,
-        cutpoints=tuple(cutpoints),
+        cutpoints=cutpoints,
         landmark=landmark,
         rmst_horizon=rmst_horizon,
         ratio_time=ratio_time,

@@ -61,10 +61,6 @@ class EstimatedCurves:
             max_times.append(float(time[mask].max()))
         return cls(curves[0], curves[1], max_times[0], max_times[1])
 
-    @classmethod
-    def from_dataset(cls, dataset):
-        return cls.from_sample(dataset.observed_time, dataset.event, dataset.arm)
-
     @property
     def max_supported_time(self):
         return min(self.max_time_control, self.max_time_research)

@@ -81,47 +81,65 @@ class PeriodFit:
         return tuple(zip(edges[:-1], edges[1:]))
 
 
-def _check_sample(time, event):
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=bool)
-    if time.ndim != 1 or time.size == 0 or time.shape != event.shape:
-        raise ValueError("need matching non-empty 1-d time and event arrays")
-    if np.any(time <= 0.0):
-        raise ValueError("all observation times must be > 0")
-    if not event.any():
-        raise ValueError("sample contains no events")
-    return time, event
+class _ConstantCovariate(ValueError):
+    """A covariate is constant among the events: no partial-likelihood maximum."""
 
 
-def _risk_table(time, event):
-    """Distinct event times with the number at risk and events at each."""
-    order = np.argsort(time, kind="stable")
-    t_sorted, e_sorted = time[order], event[order]
-    uniq, first = np.unique(t_sorted, return_index=True)
-    n_risk = time.size - first  # sorted ascending: everyone later is still at risk
-    d = np.add.reduceat(e_sorted.astype(np.int64), first)
-    keep = d > 0
-    return uniq[keep], n_risk[keep], d[keep]
+def check_cutpoints(cutpoints):
+    """Period boundaries as a tuple of floats: non-empty, > 0, strictly increasing."""
+    cutpoints = tuple(float(c) for c in cutpoints)
+    if len(cutpoints) == 0 or any(c <= 0 for c in cutpoints) \
+            or any(b <= a for a, b in zip(cutpoints, cutpoints[1:])):
+        raise ValueError("cutpoints must be strictly increasing and > 0")
+    return cutpoints
+
+
+class _RiskSets:
+    """A sample sorted once by time and grouped at its distinct event times.
+
+    The risk set of event time j is every sorted row from start[j] on.
+    """
+
+    def __init__(self, time, event):
+        time = np.asarray(time, dtype=float)
+        event = np.asarray(event, dtype=bool)
+        if time.ndim != 1 or time.size == 0 or time.shape != event.shape:
+            raise ValueError("need matching non-empty 1-d time and event arrays")
+        if not np.all(time > 0.0):
+            raise ValueError("all observation times must be > 0")
+        if not event.any():
+            raise ValueError("sample contains no events")
+        self.order = np.argsort(time, kind="stable")
+        self.time = time[self.order]
+        self.event = event[self.order]
+        self.n = time.size
+        # first sorted row of each distinct time, then of each with an event
+        first = np.flatnonzero(np.r_[True, self.time[1:] != self.time[:-1]])
+        d = np.add.reduceat(self.event.astype(np.int64), first)
+        self.start = first[d > 0]
+        self.times = self.time[self.start]
+        self.d = d[d > 0]
+        self.n_risk = self.n - self.start  # sorted ascending: everyone later is at risk
 
 
 def kaplan_meier(time, event):
     """Product-limit survival estimate with Greenwood variance."""
-    time, event = _check_sample(time, event)
-    times, n_risk, d = _risk_table(time, event)
+    rs = _RiskSets(time, event)
+    n_risk, d = rs.n_risk, rs.d
     values = np.cumprod(1.0 - d / n_risk)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Greenwood's formula; undefined (nan) once the estimate hits zero
         variance = values**2 * np.cumsum(d / (n_risk * (n_risk - d)))
-    return StepCurve(times, values, variance, n_risk, d, initial=1.0)
+    return StepCurve(rs.times, values, variance, n_risk, d, initial=1.0)
 
 
 def nelson_aalen(time, event):
     """Cumulative-hazard estimate with increments d/n and Poisson variance."""
-    time, event = _check_sample(time, event)
-    times, n_risk, d = _risk_table(time, event)
+    rs = _RiskSets(time, event)
+    n_risk, d = rs.n_risk, rs.d
     values = np.cumsum(d / n_risk)
     variance = np.cumsum(d / n_risk.astype(float) ** 2)
-    return StepCurve(times, values, variance, n_risk, d, initial=0.0)
+    return StepCurve(rs.times, values, variance, n_risk, d, initial=0.0)
 
 
 def _suffix_sum(a):
@@ -139,38 +157,28 @@ def _suffix_sum(a):
     return out
 
 
-class _CoxData:
-    """Sorted arrays and event-time groups shared by the Cox computations."""
+class _CoxData(_RiskSets):
+    """Risk sets plus the sorted covariates shared by the Cox computations."""
 
     def __init__(self, time, event, x):
-        time, event = _check_sample(time, event)
+        super().__init__(time, event)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        if x.shape[0] != time.size:
+        if x.shape[0] != self.n:
             raise ValueError("covariate rows must match the number of observations")
-        for j in range(x.shape[1]):
-            if np.ptp(x[event, j]) == 0.0:
-                raise ValueError(
+        self.x = x[self.order]
+        self.p = x.shape[1]
+        for j in range(self.p):
+            if np.ptp(self.x[self.event, j]) == 0.0:
+                raise _ConstantCovariate(
                     f"covariate {j} is constant among events; "
                     "the partial likelihood has no maximum"
                 )
-        order = np.argsort(time, kind="stable")
-        self.time = time[order]
-        self.event = event[order]
-        self.x = x[order]
-        self.n, self.p = x.shape
-
-        uniq, first = np.unique(self.time, return_index=True)
-        d = np.add.reduceat(self.event.astype(np.int64), first)
-        keep = d > 0
-        self.event_times = uniq[keep]
-        self.group_start = first[keep]  # risk set = rows group_start[j] onward
-        self.d = d[keep]
-        self.n_risk = self.n - self.group_start
-        # per-event-time sum of covariates over the events
+        # per-event-time sum of covariates over the events; the censored rows
+        # up to the next event time add exact zeros
         ex = np.where(self.event[:, None], self.x, 0.0)
-        self.event_x_sum = np.add.reduceat(ex, first, axis=0)[keep]
+        self.event_x_sum = np.add.reduceat(ex, self.start, axis=0)
         self.n_events = int(self.d.sum())
 
     def loglik_score_info(self, beta):
@@ -180,9 +188,9 @@ class _CoxData:
         xw = self.x * w[:, None]
         xxw = xw[:, :, None] * self.x[:, None, :]
         # suffix sums give risk-set aggregates at the head row of each group
-        w_risk = _suffix_sum(w)[self.group_start]
-        xw_risk = _suffix_sum(xw)[self.group_start]
-        xxw_risk = _suffix_sum(xxw)[self.group_start]
+        w_risk = _suffix_sum(w)[self.start]
+        xw_risk = _suffix_sum(xw)[self.start]
+        xxw_risk = _suffix_sum(xxw)[self.start]
 
         xbar = xw_risk / w_risk[:, None]
         ll = float(np.sum(self.event_x_sum @ beta) - np.sum(self.d * np.log(w_risk)))
@@ -195,7 +203,7 @@ class _CoxData:
     def baseline_increments(self, beta):
         """Breslow increments d_j / sum_{risk} exp(x beta) at each event time."""
         w = np.exp(self.x @ beta)
-        w_risk = _suffix_sum(w)[self.group_start]
+        w_risk = _suffix_sum(w)[self.start]
         return self.d / w_risk, w_risk
 
 
@@ -276,10 +284,7 @@ def period_specific_cox(time, event, x, cutpoints, names=None):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    cutpoints = tuple(float(c) for c in cutpoints)
-    if len(cutpoints) == 0 or any(c <= 0 for c in cutpoints) \
-            or any(b <= a for a, b in zip(cutpoints, cutpoints[1:])):
-        raise ValueError("cutpoints must be strictly increasing and > 0")
+    cutpoints = check_cutpoints(cutpoints)
 
     fits, n_events, n_entered = [], [], []
     edges = (0.0,) + cutpoints
@@ -294,8 +299,7 @@ def period_specific_cox(time, event, x, cutpoints, names=None):
             continue
         try:
             fits.append(cox_fit(t_period, e_period, x[entered], names=names))
-        except ValueError:
-            # no covariate variation among this period's events
+        except _ConstantCovariate:
             fits.append(None)
     return PeriodFit(cutpoints=cutpoints, fits=tuple(fits),
                      n_events=tuple(n_events), n_entered=tuple(n_entered))
@@ -315,7 +319,7 @@ def breslow_baseline(fit, time, event, x):
     increments, w_risk = data.baseline_increments(fit.coef)
     values = np.cumsum(increments)
     variance = np.cumsum(data.d / w_risk**2)  # Poisson-type, beta held fixed
-    return StepCurve(times=data.event_times, values=values, variance=variance,
+    return StepCurve(times=data.times, values=values, variance=variance,
                      n_risk=data.n_risk, n_event=data.d, initial=0.0)
 
 

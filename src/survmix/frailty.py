@@ -58,9 +58,15 @@ class TwoArmTruth:
     control: MixtureArm
     research: MixtureArm
 
-    def arm(self, index):
-        """Arm by 0/1 index (0 = control, 1 = research)."""
-        return (self.control, self.research)[index]
+
+def check_grid(grid):
+    """A time grid as a float array: non-empty, 1-d, >= 0, strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-d time sequence")
+    if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be strictly increasing and >= 0")
+    return grid
 
 
 def _as_times(t):
@@ -172,11 +178,7 @@ class CurveTable:
     hazard_ratio: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.size == 0:
-            raise ValueError("grid must be non-empty")
-        if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing and >= 0")
+        grid = check_grid(self.grid)
         for name in ("survival", "hazard", "cum_hazard"):
             for armlabel in (ARM_CONTROL, ARM_RESEARCH):
                 col = getattr(self, f"{name}_{armlabel}")
@@ -201,11 +203,7 @@ class CurveTable:
 
 def truth_curves(truth, grid):
     """Tabulate survival, hazard, cumulative hazard and the HR on a time grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-d time sequence")
-    if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing and >= 0")
+    grid = check_grid(grid)
     hc = marginal_hazard(truth.control, grid)
     hr = marginal_hazard(truth.research, grid)
     return CurveTable(
@@ -222,6 +220,4 @@ def truth_curves(truth, grid):
 
 def default_grid(t_min=0.0, t_max=30.0, points=601):
     """Figure grid: 601 equally spaced points on [0, 30] unless overridden."""
-    if points < 1:
-        raise ValueError("grid needs at least one point")
-    return np.linspace(float(t_min), float(t_max), int(points))
+    return check_grid(np.linspace(float(t_min), float(t_max), int(points)))

@@ -27,7 +27,8 @@ def _mix64(z):
     return z ^ (z >> np.uint64(31))
 
 
-def _validate_seed(seed):
+def check_seed(seed):
+    """The seed as a uint64; it must lie in [0, 2**64)."""
     if not (0 <= int(seed) < 2**64):
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return np.uint64(seed)
@@ -39,7 +40,7 @@ def substream_uniforms(seed, ids, stream):
     The value at a given (seed, id, stream) never depends on which other ids
     are being generated alongside it.
     """
-    key = _validate_seed(seed)
+    key = check_seed(seed)
     ids = np.asarray(ids, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix64(key + _GAMMA * np.uint64(stream + 1))
@@ -56,7 +57,7 @@ def substream_exponentials(seed, ids, stream, rate):
 
 def derive_seed(seed, index):
     """Deterministic child seed for replicate `index` of a parent seed."""
-    key = _validate_seed(seed)
+    key = check_seed(seed)
     with np.errstate(over="ignore"):
         z = _mix64(key + _GAMMA * np.uint64(STREAM_REPLICATE + 1))
         child = _mix64((np.uint64(index) + np.uint64(1)) * _GAMMA + z)

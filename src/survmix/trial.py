@@ -26,7 +26,16 @@ COUPLING_COMONOTONE = "comonotone"
 COUPLING_INDEPENDENT = "independent"
 COUPLINGS = (COUPLING_INDEPENDENT, COUPLING_COMONOTONE)
 
-CENSORING_KINDS = ("none", "administrative", "exponential", "both")
+# kind -> (uses admin_time, uses rate)
+_CENSORING_PARAMETERS = {
+    "none": (False, False),
+    "administrative": (True, False),
+    "exponential": (False, True),
+    "both": (True, True),
+}
+CENSORING_KINDS = tuple(_CENSORING_PARAMETERS)
+
+COVARIATES = ("arm", "stratum")
 
 DEFAULT_N_PER_ARM = 500
 
@@ -42,8 +51,7 @@ class CensoringSpec:
     def __post_init__(self):
         if self.kind not in CENSORING_KINDS:
             raise ValueError(f"censoring kind must be one of {CENSORING_KINDS}, got {self.kind!r}")
-        needs_admin = self.kind in ("administrative", "both")
-        needs_rate = self.kind in ("exponential", "both")
+        needs_admin, needs_rate = _CENSORING_PARAMETERS[self.kind]
         if needs_admin:
             if self.admin_time is None or not self.admin_time > 0.0:
                 raise ValueError("administrative censoring needs admin_time > 0")
@@ -55,12 +63,19 @@ class CensoringSpec:
         elif self.rate is not None:
             raise ValueError(f"rate is not used with kind={self.kind!r}")
 
+    @classmethod
+    def from_parameters(cls, admin_time=None, rate=None):
+        """The spec whose kind follows from which of admin_time and rate are set."""
+        given = (admin_time is not None, rate is not None)
+        kind = next(k for k, uses in _CENSORING_PARAMETERS.items() if uses == given)
+        return cls(kind=kind, admin_time=admin_time, rate=rate)
+
     def label(self):
         """Compact label for tables, e.g. 'admin@2' or 'admin@2+exp@0.1'."""
         parts = []
-        if self.kind in ("administrative", "both"):
+        if self.admin_time is not None:
             parts.append(f"admin@{self.admin_time:g}")
-        if self.kind in ("exponential", "both"):
+        if self.rate is not None:
             parts.append(f"exp@{self.rate:g}")
         return "+".join(parts) if parts else "none"
 
@@ -78,8 +93,7 @@ class TrialConfig:
             raise ValueError("n_per_arm must be >= 1")
         if self.coupling not in COUPLINGS:
             raise ValueError(f"coupling must be one of {COUPLINGS}, got {self.coupling!r}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        rng.check_seed(self.seed)
         # Potential outcomes need one latent stratum per individual, so the
         # two arms must share the stratum distribution.
         c, r = self.truth.control, self.truth.research
@@ -90,22 +104,27 @@ class TrialConfig:
             )
 
 
-@dataclass(frozen=True)
-class IndividualRecord:
-    id: int
-    arm: int
-    stratum: int
-    potential_time_0: float
-    potential_time_1: float
-    observed_time: float
-    event: bool
+def check_covariates(names):
+    """The covariate names as a tuple, each one of COVARIATES."""
+    names = tuple(names)
+    for name in names:
+        if name not in COVARIATES:
+            raise ValueError(f"unknown covariate {name!r}; choose from {', '.join(COVARIATES)}")
+    return names
+
+
+def covariate_matrix(columns, names):
+    """Regression columns, e.g. ('arm',) or ('arm', 'stratum'), taken from a
+    mapping of column name to array; a KeyError names a missing column."""
+    return np.column_stack([np.asarray(columns[n], dtype=float)
+                            for n in check_covariates(names)])
 
 
 class Dataset:
     """Simulated trial data, stored column-wise; immutable after creation.
 
     Columns: ids, arm, stratum, potential_time_0, potential_time_1,
-    observed_time, event. `records()` materialises row objects on demand.
+    observed_time, event.
     """
 
     _COLUMNS = ("ids", "arm", "stratum", "potential_time_0",
@@ -138,26 +157,12 @@ class Dataset:
             np.array_equal(getattr(self, c), getattr(other, c))
             for c in self._COLUMNS)
 
-    def records(self):
-        """Row view as a tuple of IndividualRecord."""
-        return tuple(
-            IndividualRecord(int(i), int(a), int(s), float(p0), float(p1), float(o), bool(e))
-            for i, a, s, p0, p1, o, e in zip(
-                self.ids, self.arm, self.stratum, self.potential_time_0,
-                self.potential_time_1, self.observed_time, self.event)
-        )
-
     def assigned_potential_time(self):
         return np.where(self.arm == 0, self.potential_time_0, self.potential_time_1)
 
     def covariate_matrix(self, names):
         """Covariate columns for regression, e.g. ('arm',) or ('arm', 'stratum')."""
-        allowed = {"arm": self.arm, "stratum": self.stratum}
-        try:
-            cols = [allowed[n] for n in names]
-        except KeyError as err:
-            raise ValueError(f"unknown covariate {err.args[0]!r}; choose from arm, stratum")
-        return np.column_stack([c.astype(float) for c in cols])
+        return covariate_matrix(vars(self), names)
 
 
 def _potential_times(config):
@@ -193,9 +198,9 @@ def apply_censoring(dataset, spec, seed):
     """
     t_assigned = dataset.assigned_potential_time()
     censor = np.full(len(dataset), np.inf)
-    if spec.kind in ("administrative", "both"):
+    if spec.admin_time is not None:
         censor = np.minimum(censor, spec.admin_time)
-    if spec.kind in ("exponential", "both"):
+    if spec.rate is not None:
         censor = np.minimum(
             censor,
             rng.substream_exponentials(seed, dataset.ids, rng.STREAM_CENSORING, spec.rate),

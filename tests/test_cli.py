@@ -1,12 +1,15 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from survmix import kaplan_meier, nelson_aalen
-from survmix.cli import (main, parse_censoring_list, read_dataset_csv,
-                         write_step_curves)
+from survmix import CensoringSpec, TrialConfig, simulate
+from survmix.cli import (_atomic_write, _fmt, main, parse_censoring_list,
+                         read_dataset_csv, write_dataset)
 
 IDENTICAL_ARMS = """
 [truth.control]
@@ -84,7 +87,6 @@ class TestSimulateCommand:
         assert read(a / "dataset.csv") != read(c / "dataset.csv")
 
     def test_round_trip_write_read_write(self, tmp_path):
-        from survmix.cli import _fmt
         out = tmp_path / "out"
         run("simulate", "--out", str(out), "--reveal-latent")
         path = out / "dataset.csv"
@@ -161,9 +163,19 @@ class TestFitCommand:
 
     def test_malformed_row_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("id,arm,observed_time,event\n0,0,1.5,1\n1,0,zebra,1\n")
-        assert run("fit", str(path)) == 1
-        assert "row 3" in capsys.readouterr().err
+        good = [f"{i},{i % 2},{i + 1}.5,1" for i in range(12)]
+        for row, bad_line in ((3, "1,0,zebra,1"),     # not a number
+                              (7, "5,1,nan,1"),       # non-finite times
+                              (11, "9,1,inf,1"),
+                              (4, "2,0,-inf,0"),
+                              (6, "4,0,0,1"),         # times must be > 0
+                              (9, "7,1,-2.5,0"),
+                              (8, "3,1,6.5,1")):      # repeats the id of row 5
+            lines = good[:row - 2] + [bad_line] + good[row - 1:]
+            path.write_text("id,arm,observed_time,event\n" + "\n".join(lines) + "\n")
+            for command in (("fit", str(path)), ("estimands", "--source", str(path))):
+                assert run(*command, "--out", str(tmp_path / "out")) == 1
+                assert f"row {row}:" in capsys.readouterr().err
 
     def test_missing_file_rejected(self):
         assert run("fit", "/no/such/file.csv") == 1
@@ -236,18 +248,35 @@ class TestCliPlumbing:
         with pytest.raises(ValueError):
             parse_censoring_list("uniform:3")
 
-    def test_write_step_curves_schema(self, tmp_path):
-        km = kaplan_meier([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0])
-        na = nelson_aalen([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0])
-        path = tmp_path / "steps.csv"
-        write_step_curves(str(path), [
-            ("control", "kaplan_meier", km, "survival"),
-            ("control", "nelson_aalen", na, "cum_hazard"),
-        ])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,arm,survival,hazard,cum_hazard,estimator"
-        assert lines[1] == "1,control,0.75,,,kaplan_meier"
-        assert lines[3] == "1,control,,,0.25,nelson_aalen"
+    def test_failed_atomic_write_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "x.txt"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            _atomic_write(str(target), "text\n")
+        assert os.listdir(tmp_path) == ["x.txt"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n_per_arm=st.integers(1, 40),
+           reveal_latent=st.booleans())
+    def test_dataset_csv_round_trip(self, seed, n_per_arm, reveal_latent):
+        from survmix.config import default_config
+        config = TrialConfig(truth=default_config().truth, n_per_arm=n_per_arm,
+                             censoring=CensoringSpec("both", admin_time=8.0, rate=0.05),
+                             seed=seed)
+        dataset = simulate(config)
+        with tempfile.TemporaryDirectory() as out:
+            columns = read_dataset_csv(write_dataset(dataset, out, reveal_latent))
+        exact = {"id": dataset.ids, "arm": dataset.arm, "event": dataset.event}
+        floats = {"observed_time": dataset.observed_time}
+        if reveal_latent:
+            exact["stratum"] = dataset.stratum
+            floats["potential_time_0"] = dataset.potential_time_0
+            floats["potential_time_1"] = dataset.potential_time_1
+        assert set(columns) == set(exact) | set(floats)
+        for name, values in exact.items():
+            assert np.array_equal(columns[name], values)
+        for name, values in floats.items():
+            assert columns[name].tolist() == [float(_fmt(v)) for v in values]
 
     def test_outputs_end_with_newline_and_use_lf(self, tmp_path):
         out = tmp_path / "out"

@@ -224,6 +224,10 @@ class TestPeriodSpecificCox:
         for a, n_in in zip(edges[:-1], pf.n_entered):
             assert n_in == int((ds.observed_time >= a).sum())
 
+    def test_errors_other_than_constant_covariate_raise(self):
+        with pytest.raises(ValueError, match="one covariate name per column"):
+            period_specific_cox(TIME6, EVENT6, X6, (3.5, 10.0), names=("a", "b"))
+
     def test_bad_cutpoints_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             period_specific_cox(TIME6, EVENT6, X6, (4.0, 2.0))

@@ -81,17 +81,6 @@ class TestSimulateStructure:
         assert np.array_equal(ds.observed_time, assigned)
         assert ds.event.all()
 
-    def test_records_view(self, two_point_truth):
-        ds = simulate(config_for(two_point_truth, n_per_arm=3))
-        records = ds.records()
-        assert len(records) == 6
-        r = records[4]
-        assert r.id == 4 and r.arm == 1
-        assert r.observed_time == ds.observed_time[4]
-        assert r.observed_time <= (r.potential_time_0, r.potential_time_1)[r.arm]
-        assert r.event == (r.observed_time ==
-                           (r.potential_time_0, r.potential_time_1)[r.arm])
-
     def test_columns_immutable(self, two_point_truth):
         ds = simulate(config_for(two_point_truth, n_per_arm=5))
         with pytest.raises(ValueError):
