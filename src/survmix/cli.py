@@ -10,9 +10,12 @@ results such as an unconverged fit), 1 input error, 2 I/O error.
 
 import argparse
 import contextlib
+import io
 import json
 import os
+import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -32,23 +35,25 @@ FIT_FILE = "fit.json"
 ESTIMANDS_FILE = "estimands.json"
 SENSITIVITY_FILE = "sensitivity.csv"
 
+_REQUIRED_COLUMNS = ("id", "arm", "observed_time", "event")
 _LATENT_COLUMNS = ("stratum", "potential_time_0", "potential_time_1")
+_INT_COLUMNS = ("id", "arm", "stratum", "event")
+_BLOCK_ROWS = 1 << 16  # rows formatted at a time by _write_columns
+# the bytes of a dataset file that _parse_plain hands to numpy
+_PLAIN_HEADER = re.compile(rb"[a-z0-9_,]*")
+_PLAIN_BODY = re.compile(rb"[0-9.eE+\-,\n]+")
 
 
 class InputError(ValueError):
     """Bad command line, config or data file; maps to exit code 1."""
 
 
-def _fmt(x):
-    """Floats at 9 significant digits so golden files are platform-stable."""
-    return format(float(x) + 0.0, ".9g")  # + 0.0 normalises negative zero
-
-
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write an iterable of strings to `path`, or leave it untouched on failure."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -56,78 +61,121 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_columns(path, header, fmt, columns):
+    """Write a CSV table with one `fmt % row` per index of the equal-length
+    `columns`.
+
+    Rows are formatted a block at a time, so the text held at once stays
+    small. Float columns get + 0.0, which writes negative zero as 0; use
+    "%.9g" for floats, 9 significant digits so that tables are
+    platform-stable ("%.9g" % x equals format(x, ".9g")).
+    """
+    columns = [np.asarray(c) for c in columns]
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = (c[start:start + _BLOCK_ROWS] for c in columns)
+            values = ((c + 0.0 if c.dtype.kind == "f" else c).tolist() for c in block)
+            yield "".join(map(fmt.__mod__, zip(*values)))
+
+    _atomic_write(path, blocks())
 
 
 def write_curve_tables(table, out_dir):
     """CurveTable -> curves.csv (long format) and hr.csv."""
-    rows = []
-    for i, t in enumerate(table.grid):
-        for arm in ("control", "research"):
-            rows.append((
-                _fmt(t), arm,
-                _fmt(getattr(table, f"survival_{arm}")[i]),
-                _fmt(getattr(table, f"hazard_{arm}")[i]),
-                _fmt(getattr(table, f"cum_hazard_{arm}")[i]),
-            ))
     curves_path = os.path.join(out_dir, CURVES_FILE)
-    _write_csv(curves_path, ("t", "arm", "survival", "hazard", "cum_hazard"), rows)
-
-    hr_rows = [
-        (_fmt(t), _fmt(hc), _fmt(hr_), _fmt(ratio))
-        for t, hc, hr_, ratio in zip(table.grid, table.hazard_control,
-                                     table.hazard_research, table.hazard_ratio)
-    ]
+    # one grid point gives two lines, the control row then the research row
+    _write_columns(curves_path, ("t", "arm", "survival", "hazard", "cum_hazard"),
+                   "%.9g,control,%.9g,%.9g,%.9g\n%.9g,research,%.9g,%.9g,%.9g\n",
+                   (table.grid, table.survival_control, table.hazard_control,
+                    table.cum_hazard_control, table.grid, table.survival_research,
+                    table.hazard_research, table.cum_hazard_research))
     hr_path = os.path.join(out_dir, HR_FILE)
-    _write_csv(hr_path, ("t", "hazard_control", "hazard_research", "hazard_ratio"),
-               hr_rows)
+    _write_columns(hr_path, ("t", "hazard_control", "hazard_research", "hazard_ratio"),
+                   "%.9g,%.9g,%.9g,%.9g\n",
+                   (table.grid, table.hazard_control, table.hazard_research,
+                    table.hazard_ratio))
     return curves_path, hr_path
 
 
 def write_dataset(dataset, out_dir, reveal_latent=False):
     """Dataset -> dataset.csv; latent columns only when requested."""
-    if reveal_latent:
-        header = ("id", "arm", "stratum", "potential_time_0", "potential_time_1",
-                  "observed_time", "event")
-        rows = (
-            (str(i), str(a), str(s), _fmt(p0), _fmt(p1), _fmt(o), str(int(e)))
-            for i, a, s, p0, p1, o, e in zip(
-                dataset.ids, dataset.arm, dataset.stratum,
-                dataset.potential_time_0, dataset.potential_time_1,
-                dataset.observed_time, dataset.event)
-        )
-    else:
-        header = ("id", "arm", "observed_time", "event")
-        rows = (
-            (str(i), str(a), _fmt(o), str(int(e)))
-            for i, a, o, e in zip(dataset.ids, dataset.arm,
-                                  dataset.observed_time, dataset.event)
-        )
     path = os.path.join(out_dir, DATASET_FILE)
-    _write_csv(path, header, rows)
+    if reveal_latent:
+        _write_columns(path, ("id", "arm", "stratum", "potential_time_0",
+                              "potential_time_1", "observed_time", "event"),
+                       "%d,%d,%d,%.9g,%.9g,%.9g,%d\n",
+                       (dataset.ids, dataset.arm, dataset.stratum,
+                        dataset.potential_time_0, dataset.potential_time_1,
+                        dataset.observed_time, dataset.event))
+    else:
+        _write_columns(path, ("id", "arm", "observed_time", "event"), "%d,%d,%.9g,%d\n",
+                       (dataset.ids, dataset.arm, dataset.observed_time, dataset.event))
     return path
 
 
 def read_dataset_csv(path):
-    """Parse a dataset CSV back into columns, naming the row on any error."""
+    """Parse a dataset CSV back into columns, naming the row on any error.
+
+    numpy's C parser reads a well-formed file; any other file goes to the
+    per-row parser, whose errors name the bad row.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as err:
         raise InputError(f"cannot read dataset {path}: {err}") from None
-    if not lines:
-        raise InputError(f"{path}: empty file")
-    header = lines[0].split(",")
-    required = ("id", "arm", "observed_time", "event")
-    missing = [c for c in required if c not in header]
+    columns = _parse_plain(path, data)
+    if columns is None:
+        columns = _parse_rows(path, data.decode("utf-8").splitlines())
+    return _check_columns(path, columns)
+
+
+def _check_header(path, header):
+    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
     if missing:
         raise InputError(f"{path}: missing required column(s) {', '.join(missing)}")
-    unknown = [c for c in header if c not in required + _LATENT_COLUMNS]
+    unknown = [c for c in header if c not in _REQUIRED_COLUMNS + _LATENT_COLUMNS]
     if unknown:
         raise InputError(f"{path}: unknown column(s) {', '.join(unknown)}")
+    return header
+
+
+def _parse_plain(path, data):
+    """Columns of the dataset CSV bytes `data` through np.loadtxt, or None
+    when the file is one that only _parse_rows may judge.
+
+    The two parsers agree on a body of digits, signs, points, exponents,
+    commas and newlines with no blank line. Outside it they part: numpy skips
+    blank lines and strips whitespace, which _parse_rows rejects.
+    """
+    end = data.find(b"\n")
+    if (end < 0 or not _PLAIN_BODY.fullmatch(data, end + 1)
+            or data.find(b"\n\n", end) >= 0
+            or not _PLAIN_HEADER.fullmatch(data, 0, end)):
+        return None
+    header = _check_header(path, data[:end].decode("ascii").split(","))
+    try:
+        with warnings.catch_warnings():
+            # older numpy reads "1.5" in an int column as 1, with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            records = np.loadtxt(
+                io.BytesIO(data), delimiter=",", comments=None, skiprows=1, ndmin=1,
+                dtype=[(name, np.int64 if name in _INT_COLUMNS else np.float64)
+                       for name in header])
+    except (ValueError, DeprecationWarning):  # also a repeated column name
+        return None
+    if records.size != data.count(b"\n", end + 1) + (not data.endswith(b"\n")):
+        return None
+    return {name: records[name].copy() for name in header}
+
+
+def _parse_rows(path, lines):
+    """Columns of the dataset CSV `lines`, parsed one value at a time."""
+    if not lines:
+        raise InputError(f"{path}: empty file")
+    header = _check_header(path, lines[0].split(","))
     if len(lines) == 1:
         raise InputError(f"{path}: no data rows")
 
@@ -140,7 +188,7 @@ def read_dataset_csv(path):
             )
         for name, field in zip(header, fields):
             try:
-                if name in ("id", "arm", "stratum", "event"):
+                if name in _INT_COLUMNS:
                     columns[name].append(int(field))
                 else:
                     columns[name].append(float(field))
@@ -148,18 +196,17 @@ def read_dataset_csv(path):
                 raise InputError(
                     f"{path} row {lineno}: bad value {field!r} for column {name}"
                 ) from None
-    out = {name: np.asarray(vals) for name, vals in columns.items()}
+    return {name: np.asarray(vals) for name, vals in columns.items()}
+
+
+def _check_columns(path, out):
+    """The value checks on parsed columns; `event` comes back as bool."""
     if not np.isin(out["event"], (0, 1)).all():
         raise InputError(f"{path}: event column must be 0 or 1")
     out["event"] = out["event"].astype(bool)
     if not np.isin(out["arm"], (0, 1)).all():
         raise InputError(f"{path}: arm column must be 0 or 1")
-    time = out["observed_time"]
-    bad = np.flatnonzero(~np.isfinite(time) | (time <= 0.0))
-    if bad.size:
-        row = bad[0]
-        raise InputError(f"{path} row {row + 2}: observed_time must be finite and "
-                         f"> 0, got {time[row]:g}")
+    _check_values(path, out, ("observed_time",))
     # a stable sort puts each id's first row first; the rows after it repeat it
     ids = out["id"]
     order = np.argsort(ids, kind="stable")
@@ -167,11 +214,37 @@ def read_dataset_csv(path):
     if repeats.size:
         row = repeats.min()
         raise InputError(f"{path} row {row + 2}: duplicate id {ids[row]}")
+    # the latent columns come last: a file the checks above reject keeps their message
+    _check_values(path, out, [name for name in _LATENT_COLUMNS if name in out])
     return out
 
 
+def _bad_time(values):
+    return ~np.isfinite(values) | (values <= 0.0)
+
+
+# column -> (the rule its values must meet, the mask of values that break it)
+_VALUE_RULES = {
+    "observed_time": ("finite and > 0", _bad_time),
+    "potential_time_0": ("finite and > 0", _bad_time),
+    "potential_time_1": ("finite and > 0", _bad_time),
+    "stratum": (">= 0", lambda values: values < 0),
+}
+
+
+def _check_values(path, out, names):
+    """Name the first row whose value breaks its column's rule."""
+    for name in names:
+        rule, broken = _VALUE_RULES[name]
+        bad = np.flatnonzero(broken(out[name]))
+        if bad.size:
+            row = bad[0]
+            raise InputError(f"{path} row {row + 2}: {name} must be {rule}, "
+                             f"got {out[name][row]:g}")
+
+
 def _write_json(path, payload):
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2) + "\n"])
     return path
 
 
@@ -325,14 +398,10 @@ def cmd_estimands(args):
     if args.sensitivity:
         specs = parse_censoring_list(args.sensitivity)
         rows = censoring_sensitivity(cfg.trial, specs, cfg.sensitivity_replicates)
-        csv_rows = [
-            (row.spec_label, _fmt(row.mean_beta), _fmt(row.mc_se),
-             str(row.n_ok), str(row.n_failed))
-            for row in rows
-        ]
         sens_path = os.path.join(out_dir, SENSITIVITY_FILE)
-        _write_csv(sens_path, ("spec_label", "mean_beta", "mc_se", "n_ok", "n_failed"),
-                   csv_rows)
+        header = ("spec_label", "mean_beta", "mc_se", "n_ok", "n_failed")
+        _write_columns(sens_path, header, "%s,%.9g,%.9g,%d,%d\n",
+                       [[getattr(row, name) for row in rows] for name in header])
         written.append(sens_path)
     print("wrote " + " and ".join(written))
     return 0

@@ -1,15 +1,26 @@
 import json
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survmix import CensoringSpec, TrialConfig, simulate
-from survmix.cli import (_atomic_write, _fmt, main, parse_censoring_list,
-                         read_dataset_csv, write_dataset)
+from survmix import CensoringSpec, Dataset, TrialConfig, simulate
+from survmix import cli
+from survmix.cli import (InputError, _atomic_write, main, parse_censoring_list,
+                         read_dataset_csv, write_curve_tables, write_dataset)
+from survmix.config import default_config
+
+LATENT_HEADER = ("id,arm,stratum,potential_time_0,potential_time_1,"
+                 "observed_time,event")
+
+
+def _fmt(x):
+    """Reference float format of every CSV table, one value at a time."""
+    return format(float(x) + 0.0, ".9g")
 
 IDENTICAL_ARMS = """
 [truth.control]
@@ -163,16 +174,27 @@ class TestFitCommand:
 
     def test_malformed_row_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        good = [f"{i},{i % 2},{i + 1}.5,1" for i in range(12)]
-        for row, bad_line in ((3, "1,0,zebra,1"),     # not a number
-                              (7, "5,1,nan,1"),       # non-finite times
-                              (11, "9,1,inf,1"),
-                              (4, "2,0,-inf,0"),
-                              (6, "4,0,0,1"),         # times must be > 0
-                              (9, "7,1,-2.5,0"),
-                              (8, "3,1,6.5,1")):      # repeats the id of row 5
+        plain = ("id,arm,observed_time,event",
+                 [f"{i},{i % 2},{i + 1}.5,1" for i in range(12)])
+        latent = (LATENT_HEADER,
+                  [f"{i},{i % 2},{i % 3},{i + 1}.5,{i + 2}.5,{i + 1}.5,1"
+                   for i in range(12)])
+        cases = [(plain, 3, "1,0,zebra,1"),       # not a number
+                 (plain, 7, "5,1,nan,1"),         # non-finite times
+                 (plain, 11, "9,1,inf,1"),
+                 (plain, 4, "2,0,-inf,0"),
+                 (plain, 6, "4,0,0,1"),           # times must be > 0
+                 (plain, 9, "7,1,-2.5,0"),
+                 (plain, 8, "3,1,6.5,1"),         # repeats the id of row 5
+                 (latent, 5, "3,1,0,nan,4.5,3.5,1"),
+                 (latent, 7, "5,1,2,6.5,inf,6.5,1"),
+                 (latent, 3, "1,1,1,-inf,3.5,2.5,0"),
+                 (latent, 10, "8,0,2,0,10.5,9.5,1"),
+                 (latent, 12, "10,0,1,11.5,-1e-3,11.5,1"),
+                 (latent, 6, "4,0,-1,5.5,6.5,5.5,1")]  # strata are >= 0
+        for (header, good), row, bad_line in cases:
             lines = good[:row - 2] + [bad_line] + good[row - 1:]
-            path.write_text("id,arm,observed_time,event\n" + "\n".join(lines) + "\n")
+            path.write_text(header + "\n" + "\n".join(lines) + "\n")
             for command in (("fit", str(path)), ("estimands", "--source", str(path))):
                 assert run(*command, "--out", str(tmp_path / "out")) == 1
                 assert f"row {row}:" in capsys.readouterr().err
@@ -259,7 +281,6 @@ class TestCliPlumbing:
     @given(seed=st.integers(0, 2**64 - 1), n_per_arm=st.integers(1, 40),
            reveal_latent=st.booleans())
     def test_dataset_csv_round_trip(self, seed, n_per_arm, reveal_latent):
-        from survmix.config import default_config
         config = TrialConfig(truth=default_config().truth, n_per_arm=n_per_arm,
                              censoring=CensoringSpec("both", admin_time=8.0, rate=0.05),
                              seed=seed)
@@ -283,3 +304,119 @@ class TestCliPlumbing:
         run("truth", "--out", str(out))
         raw = read(out / "hr.csv")
         assert raw.endswith(b"\n") and b"\r" not in raw
+
+
+# tokens near the edge of what the numpy fast path of read_dataset_csv takes
+ODD_FIELDS = (" 1", "1 ", "\t2", "\x0c1", "+3", "1_0", "1.0", "1e3", "1E2", "1e+2",
+              "-0", "007", "", "-", "+", "e5", "1e", "--1", "+-1", "1.5.2", ".5",
+              "5.", "1e400", "-1e400", "1e-400", "nan", "inf", "-inf",
+              "9223372036854775807", "9223372036854775808", "-9223372036854775809")
+HEADERS = ("id,arm,observed_time,event", LATENT_HEADER,
+           "event,observed_time,arm,id", "id,arm,observed_time,event,event",
+           "id,arm,observed_time,event ", "id,arm,time,event")
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+                  np.inf, -np.inf, 1.0 / 3.0, -2.5, 123456789.5, 1e-5)
+
+
+@st.composite
+def dataset_bytes(draw):
+    """A dataset CSV mostly within, and sometimes just outside, the fast path."""
+    names = draw(st.sampled_from(HEADERS[:2] * 4 + HEADERS)).split(",")
+    odd_rate = draw(st.sampled_from((0, 0, 30, 10, 3)))  # 1 odd field in odd_rate
+    flags = ("0", "1") * 6 + ("2",)
+    lines = [",".join(names)]
+    for i in range(draw(st.integers(1, 6))):
+        fields = []
+        for name in names:
+            if odd_rate and draw(st.integers(1, odd_rate)) == 1:
+                fields.append(draw(st.sampled_from(ODD_FIELDS)))
+            elif name == "id":
+                fields.append(str(draw(st.sampled_from((i,) * 12 + (0,)))))
+            elif name == "stratum":
+                fields.append(draw(st.sampled_from(("0", "1", "2") * 4 + ("-1",))))
+            elif name in ("arm", "event"):
+                fields.append(draw(st.sampled_from(flags)))
+            else:
+                fields.append(format(draw(st.floats(1e-3, 1e3)), ".9g"))
+        if odd_rate:  # short or long rows
+            width = draw(st.sampled_from((0,) * 10 + (-1, 1)))
+            fields = fields[:len(fields) + width] if width < 0 else fields + ["1"] * width
+        lines.append(",".join(fields))
+    breaks = ["\n"] * 12 + (["\r\n", "\n\n", "\x0c", "\r"] if odd_rate else [])
+    text = "".join(line + draw(st.sampled_from(breaks)) for line in lines[:-1])
+    endings = ["\n", "", "\r\n", "\n\n"] if odd_rate else ["\n", ""]
+    text += lines[-1] + draw(st.sampled_from(endings))
+    return text.encode()
+
+
+class TestCsvLayer:
+    @settings(max_examples=400, deadline=None)
+    @given(data=dataset_bytes())
+    def test_fast_reader_agrees_with_row_parser(self, data):
+        path = "data.csv"
+
+        def outcome(parse):
+            try:
+                columns = parse()
+                if columns is None:
+                    return None
+                return {name: (col.dtype.str, col.tobytes())
+                        for name, col in cli._check_columns(path, columns).items()}
+            except InputError as err:
+                return str(err)
+
+        fast = outcome(lambda: cli._parse_plain(path, data))
+        rows = outcome(lambda: cli._parse_rows(path, data.decode().splitlines()))
+        assert fast is None or fast == rows
+
+    def test_fast_reader_takes_written_files(self, tmp_path):
+        config = TrialConfig(truth=default_config().truth, n_per_arm=20, seed=7)
+        write_dataset(simulate(config), str(tmp_path), reveal_latent=True)
+        path = tmp_path / "dataset.csv"
+        data = path.read_bytes()
+        assert cli._parse_plain("dataset.csv", data) is not None
+        columns = read_dataset_csv(str(path))
+        crlf = data.replace(b"\n", b"\r\n")
+        assert cli._parse_plain("dataset.csv", crlf) is None
+        path.write_bytes(crlf)  # the per-row parser reads it to the same columns
+        for name, values in read_dataset_csv(str(path)).items():
+            assert values.dtype == columns[name].dtype
+            assert values.tobytes() == columns[name].tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 4, 5, 6])  # around a 5-row block
+    def test_writers_match_reference_format(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+        floats = [np.resize(np.roll(SPECIAL_FLOATS, k), rows) for k in range(8)]
+        ids = np.arange(rows) * 1_000_003
+        arm, stratum, event = ids % 2, ids % 3, ids % 5 < 2
+        dataset = Dataset(ids, arm, stratum, floats[0], floats[1], floats[2], event,
+                          config=None)
+
+        def reference(header, cells):
+            return "".join(",".join(row) + "\n" for row in [header] + cells)
+
+        latent = [(str(ids[i]), str(arm[i]), str(stratum[i]), _fmt(floats[0][i]),
+                   _fmt(floats[1][i]), _fmt(floats[2][i]), str(int(event[i])))
+                  for i in range(rows)]
+        for reveal, columns in ((True, range(7)), (False, (0, 1, 5, 6))):
+            header = [LATENT_HEADER.split(",")[c] for c in columns]
+            path = write_dataset(dataset, str(tmp_path), reveal_latent=reveal)
+            assert read(path).decode() == reference(
+                header, [[row[c] for c in columns] for row in latent])
+
+        names = ("survival", "hazard", "cum_hazard")
+        curve_columns = [f"{name}_{side}" for side in ("control", "research")
+                         for name in names]
+        table = SimpleNamespace(grid=floats[0], hazard_ratio=floats[1],
+                                **dict(zip(curve_columns, floats[2:])))
+        curves_path, hr_path = write_curve_tables(table, str(tmp_path))
+        curves = [[_fmt(table.grid[i]), side] +
+                  [_fmt(getattr(table, f"{name}_{side}")[i]) for name in names]
+                  for i in range(rows) for side in ("control", "research")]
+        assert read(curves_path).decode() == reference(
+            ["t", "arm", *names], curves)
+        hr = [[_fmt(table.grid[i]), _fmt(table.hazard_control[i]),
+               _fmt(table.hazard_research[i]), _fmt(table.hazard_ratio[i])]
+              for i in range(rows)]
+        assert read(hr_path).decode() == reference(
+            ["t", "hazard_control", "hazard_research", "hazard_ratio"], hr)
