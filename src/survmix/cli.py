@@ -139,6 +139,9 @@ def _check_header(path, header):
     unknown = [c for c in header if c not in _REQUIRED_COLUMNS + _LATENT_COLUMNS]
     if unknown:
         raise InputError(f"{path}: unknown column(s) {', '.join(unknown)}")
+    repeated = [c for i, c in enumerate(header) if c in header[:i]]
+    if repeated:
+        raise InputError(f"{path}: repeated column(s) {', '.join(dict.fromkeys(repeated))}")
     return header
 
 
@@ -164,7 +167,7 @@ def _parse_plain(path, data):
                 io.BytesIO(data), delimiter=",", comments=None, skiprows=1, ndmin=1,
                 dtype=[(name, np.int64 if name in _INT_COLUMNS else np.float64)
                        for name in header])
-    except (ValueError, DeprecationWarning):  # also a repeated column name
+    except (ValueError, DeprecationWarning):
         return None
     if records.size != data.count(b"\n", end + 1) + (not data.endswith(b"\n")):
         return None

@@ -13,9 +13,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .estimators import StepCurve, cox_fit_dataset, kaplan_meier
+# cox_fit_dataset and simulate are not called here: they are the
+# per-replicate reference of censoring_sensitivity, and perfbench/tracing.py
+# wraps them under these names
+from .estimators import StepCurve, cox_fit_dataset, cox_log_hr_stack, kaplan_meier
 from .frailty import TwoArmTruth, marginal_survival
-from .trial import simulate
+from .trial import censored_replicates, simulate
 
 SOURCE_TRUTH = "truth"
 SOURCE_ESTIMATED = "estimated"
@@ -176,36 +179,44 @@ class SensitivityRow:
     n_failed: int
 
 
+# replicates are simulated and fitted in blocks of about this many rows, which
+# bounds the memory of a block whatever the replicate count
+_BLOCK_ROWS = 2**15
+
+
+def _replicate_log_hrs(config, specs, replicates):
+    """Arm-only Cox log-HR of every (spec, replicate) as a (specs, replicates)
+    array; nan where the fit fails or does not converge."""
+    seeds = [rng.derive_seed(config.seed, r) for r in range(replicates)]
+    block = max(1, _BLOCK_ROWS // (2 * config.n_per_arm))
+    log_hrs = np.empty((len(specs), replicates))
+    for first in range(0, replicates, block):
+        arm, censored = censored_replicates(config, seeds[first:first + block], specs)
+        for k, (observed, event) in enumerate(censored):
+            log_hrs[k, first:first + block] = cox_log_hr_stack(observed, event, arm)
+    return log_hrs
+
+
 def censoring_sensitivity(config, specs, replicates):
     """Monte-Carlo mean of the arm-only Cox log-HR under each censoring spec.
 
     Replicate r of every spec reruns the trial with the child seed
     derive_seed(config.seed, r), so specs are compared on identical
-    potential-outcome draws and scheduling cannot affect results. Replicates
-    whose fit fails or does not converge are excluded and counted.
+    potential-outcome draws and scheduling cannot affect results. Each
+    replicate's potential outcomes are drawn once and re-censored under every
+    spec, and a block of replicates is fitted in one stacked Newton solve;
+    each log-HR equals cox_fit_dataset(simulate(...)) of its replicate to
+    rounding. Replicates whose fit fails or does not converge are excluded
+    and counted.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    seeds = [rng.derive_seed(config.seed, r) for r in range(replicates)]
     rows = []
-    for spec in specs:
-        betas = []
-        failed = 0
-        for seed_r in seeds:
-            try:
-                dataset = simulate(replace(config, seed=seed_r, censoring=spec))
-                fit = cox_fit_dataset(dataset, covariates=("arm",))
-            except ValueError:
-                failed += 1
-                continue
-            if not fit.converged:
-                failed += 1
-                continue
-            betas.append(fit.log_hr)
-        betas = np.asarray(betas)
+    for spec, betas in zip(specs, _replicate_log_hrs(config, specs, replicates)):
+        betas = betas[np.isfinite(betas)]
         n_ok = betas.size
         mean = float(betas.mean()) if n_ok else float("nan")
         mc_se = float(betas.std(ddof=1) / np.sqrt(n_ok)) if n_ok > 1 else float("nan")
         rows.append(SensitivityRow(spec_label=spec.label(), mean_beta=mean,
-                                   mc_se=mc_se, n_ok=n_ok, n_failed=failed))
+                                   mc_se=mc_se, n_ok=n_ok, n_failed=replicates - n_ok))
     return rows

@@ -95,31 +95,43 @@ def check_cutpoints(cutpoints):
 
 
 class _RiskSets:
-    """A sample sorted once by time and grouped at its distinct event times.
+    """Samples sorted once by time and grouped at their distinct event times.
 
-    The risk set of event time j is every sorted row from start[j] on.
+    `time` and `event` hold one sample, or a stack of equally sized samples
+    with one per row. The group arrays run over the samples in row order:
+    group j belongs to sample row[j], and its risk set is every sorted row of
+    that sample from start[j] on, where start indexes the flattened sample.
     """
+
+    _NDIM = 1              # one sample; a subclass may take a stack
+    _SORT_KIND = "stable"  # the Cox sums add tied rows in input order
 
     def __init__(self, time, event):
         time = np.asarray(time, dtype=float)
         event = np.asarray(event, dtype=bool)
-        if time.ndim != 1 or time.size == 0 or time.shape != event.shape:
-            raise ValueError("need matching non-empty 1-d time and event arrays")
+        if time.ndim != self._NDIM or time.size == 0 or time.shape != event.shape:
+            raise ValueError(
+                f"need matching non-empty {self._NDIM}-d time and event arrays")
         if not np.all(time > 0.0):
             raise ValueError("all observation times must be > 0")
-        if not event.any():
+        if not event.any(axis=-1).all():
             raise ValueError("sample contains no events")
-        self.order = np.argsort(time, kind="stable")
-        self.time = time[self.order]
-        self.event = event[self.order]
-        self.n = time.size
-        # first sorted row of each distinct time, then of each with an event
-        first = np.flatnonzero(np.r_[True, self.time[1:] != self.time[:-1]])
-        d = np.add.reduceat(self.event.astype(np.int64), first)
+        self.order = np.argsort(time, axis=-1, kind=self._SORT_KIND)
+        self.time = np.take_along_axis(time, self.order, axis=-1)
+        self.event = np.take_along_axis(event, self.order, axis=-1)
+        self.n = time.shape[-1]
+        # first sorted row of each distinct time, then of each with an event;
+        # each sample starts a new time
+        flat = self.time.ravel()
+        new_time = np.r_[True, flat[1:] != flat[:-1]]
+        new_time[::self.n] = True
+        first = np.flatnonzero(new_time)
+        d = np.add.reduceat(self.event.ravel().astype(np.int64), first)
         self.start = first[d > 0]
-        self.times = self.time[self.start]
+        self.row, offset = np.divmod(self.start, self.n)
+        self.times = flat[self.start]
         self.d = d[d > 0]
-        self.n_risk = self.n - self.start  # sorted ascending: everyone later is at risk
+        self.n_risk = self.n - offset  # sorted ascending: everyone later is at risk
 
 
 def kaplan_meier(time, event):
@@ -207,6 +219,116 @@ class _CoxData(_RiskSets):
         return self.d / w_risk, w_risk
 
 
+class _ArmRiskSets(_RiskSets):
+    """Risk sets of a stack of samples whose one covariate is the 0/1 arm.
+
+    The risk-set sum of exp(beta * arm) at an event time is n0 + exp(beta) n1
+    over the exact integer counts at risk in each arm, so one evaluation of
+    the partial likelihood costs one pass over the event times. The counts
+    are padded to one row of g event times per sample; a pad has no deaths
+    and adds exact zeros.
+    """
+
+    _NDIM = 2
+    _SORT_KIND = "quicksort"  # no count here depends on the order of ties
+
+    def __init__(self, time, event, arm):
+        super().__init__(time, event)
+        arm = np.take_along_axis(np.broadcast_to(arm, self.order.shape) == 1,
+                                 self.order, axis=-1)
+        self.m = arm.shape[0]
+        self.event_arm_sum = (self.event & arm).sum(axis=1)
+        at_risk_1 = np.cumsum(arm[:, ::-1], axis=1)[:, ::-1].ravel()[self.start]
+        groups = np.bincount(self.row, minlength=self.m)
+        g = groups.max()
+        # flat position of each event time in its sample's padded row
+        pad = np.arange(self.row.size) + np.repeat(
+            np.arange(self.m) * g - np.cumsum(groups) + groups, groups)
+        self.n0 = np.ones((self.m, g))
+        self.n1, self.deaths = np.zeros((2, self.m, g))
+        self.n0.ravel()[pad] = self.n_risk - at_risk_1
+        self.n1.ravel()[pad] = at_risk_1
+        self.deaths.ravel()[pad] = self.d
+
+    def loglik_score_info(self, beta):
+        """Breslow partial log likelihood, score and information of every
+        sample at the (m, 1) coefficients `beta`."""
+        e_n1 = np.exp(beta) * self.n1
+        w_risk = self.n0 + e_n1
+        xbar = e_n1 / w_risk
+        ll = beta[:, 0] * self.event_arm_sum \
+            - np.einsum("ij,ij->i", self.deaths, np.log(w_risk))
+        d_xbar = np.einsum("ij,ij->i", self.deaths, xbar)
+        info = d_xbar - np.einsum("ij,ij,ij->i", self.deaths, xbar, xbar)
+        return ll, (self.event_arm_sum - d_xbar)[:, None], info[:, None, None]
+
+
+def _newton_steps(info, score, rows):
+    """info^-1 score of the selected rows, and which of them are singular."""
+    delta = np.zeros_like(score)
+    singular = np.zeros(len(score), dtype=bool)
+    try:
+        delta[rows] = np.linalg.solve(info[rows], score[rows, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # one singular matrix fails the stack
+        for r in np.flatnonzero(rows):
+            try:
+                delta[r] = np.linalg.solve(info[r], score[r, :, None])[:, 0]
+            except np.linalg.LinAlgError:
+                singular[r] = True
+    return delta, singular
+
+
+def _newton(evaluate, m, p, max_iterations, score_tol):
+    """Safeguarded Newton-Raphson on m independent log likelihoods at once.
+
+    evaluate(beta) returns the log likelihood (m,), score (m, p) and
+    information (m, p, p) at the (m, p) coefficients `beta`. Every row starts
+    at 0 and moves on its own: a step is halved while it would decrease the
+    row's log likelihood, and the row stops once max|score| < score_tol, at
+    max_iterations, at a singular information, when |beta| passes
+    DIVERGENCE_BOUND or when it stalls. Returns beta, ll, score, info,
+    iterations and converged, one entry per row.
+    """
+    beta = np.zeros((m, p))
+    ll, score, info = evaluate(beta)
+    iterations = np.zeros(m, dtype=np.int64)
+    diverged = np.zeros(m, dtype=bool)
+    stopped = np.zeros(m, dtype=bool)
+    while True:
+        active = ~stopped & (iterations < max_iterations) \
+            & (np.max(np.abs(score), axis=1) >= score_tol)
+        if not active.any():
+            break
+        iterations += active
+        delta, singular = _newton_steps(info, score, active)
+        diverged |= singular
+        stopped |= singular
+        active &= ~singular
+        # halve steps that decrease the log likelihood by more than its own
+        # floating-point evaluation noise; exact comparison would flip on
+        # noise once the true decrement is microscopic
+        ll_slack = 1e-12 * (1.0 + np.abs(ll))
+        step = np.ones(m)
+        candidate, ll_new, score_new, info_new = beta, ll, score, info
+        halving = active
+        while halving.any():
+            candidate = np.where(halving[:, None], beta + step[:, None] * delta, candidate)
+            ll_try, score_try, info_try = evaluate(candidate)
+            ll_new = np.where(halving, ll_try, ll_new)
+            score_new = np.where(halving[:, None], score_try, score_new)
+            info_new = np.where(halving[:, None, None], info_try, info_new)
+            halving = halving & (ll_try < ll - ll_slack) & (step > 2.0**-20)
+            step = np.where(halving, 0.5 * step, step)
+        moved = np.max(np.abs(candidate - beta), axis=1)
+        beta, ll, score, info = candidate, ll_new, score_new, info_new
+        size = np.max(np.abs(beta), axis=1)
+        diverged |= active & (size > DIVERGENCE_BOUND)
+        # stalled at numerical precision; the score decides
+        stopped |= active & ((size > DIVERGENCE_BOUND) | (moved < 1e-14 * (1.0 + size)))
+    converged = ~diverged & (np.max(np.abs(score), axis=1) < score_tol)
+    return beta, ll, score, info, iterations, converged
+
+
 def cox_fit(time, event, x, names=None, max_iterations=MAX_ITERATIONS,
             score_tol=SCORE_TOL):
     """Maximise the Cox partial likelihood (Breslow ties) by Newton-Raphson.
@@ -223,46 +345,46 @@ def cox_fit(time, event, x, names=None, max_iterations=MAX_ITERATIONS,
     if len(names) != data.p:
         raise ValueError("one covariate name per column required")
 
-    beta = np.zeros(data.p)
-    ll, score, info = data.loglik_score_info(beta)
-    iterations = 0
-    diverged = False
-    while iterations < max_iterations and np.max(np.abs(score)) >= score_tol:
-        iterations += 1
-        try:
-            delta = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            diverged = True
-            break
-        # halve steps that decrease the log likelihood by more than its own
-        # floating-point evaluation noise; exact comparison would flip on
-        # noise once the true decrement is microscopic
-        ll_slack = 1e-12 * (1.0 + abs(ll))
-        step = 1.0
-        while True:
-            candidate = beta + step * delta
-            ll_new, score_new, info_new = data.loglik_score_info(candidate)
-            if ll_new >= ll - ll_slack or step <= 2.0**-20:
-                break
-            step *= 0.5
-        moved = np.max(np.abs(candidate - beta))
-        beta, ll, score, info = candidate, ll_new, score_new, info_new
-        if np.max(np.abs(beta)) > DIVERGENCE_BOUND:
-            diverged = True
-            break
-        if moved < 1e-14 * (1.0 + np.max(np.abs(beta))):
-            break  # stalled at numerical precision; the score decides
-    converged = bool((not diverged) and np.max(np.abs(score)) < score_tol)
+    def evaluate(beta):
+        ll, score, info = data.loglik_score_info(beta[0])
+        return np.array([ll]), score[None], info[None]
 
+    beta, ll, score, info, iterations, converged = _newton(
+        evaluate, 1, data.p, max_iterations, score_tol)
+    info = info[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
             covariance = np.linalg.inv(info)
             se = np.sqrt(np.diag(covariance))
         except np.linalg.LinAlgError:
             se = np.full(data.p, np.inf)
-    return CoxFit(names=names, coef=beta, se=se, iterations=iterations,
-                  converged=converged, loglik_at_max=ll, score_at_max=score,
-                  n_events=data.n_events)
+    return CoxFit(names=names, coef=beta[0], se=se, iterations=int(iterations[0]),
+                  converged=bool(converged[0]), loglik_at_max=float(ll[0]),
+                  score_at_max=score[0], n_events=data.n_events)
+
+
+def cox_log_hr_stack(time, event, arm):
+    """Arm-only Cox log hazard ratios of a stack of samples, one per row.
+
+    `time` and `event` are (m, n); `arm` is the 0/1 treatment column, one
+    row per sample or one shared by all. Entry r is cox_fit(time[r],
+    event[r], arm[r]).log_hr to rounding, or nan where that fit raises (no
+    events, or events in one arm only) or does not converge. All rows share
+    one stacked Newton-Raphson solve.
+    """
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event, dtype=bool)
+    arm = np.broadcast_to(arm, time.shape)
+    events = event.sum(axis=1)
+    arm_events = (event & (arm == 1)).sum(axis=1)
+    fitted = (arm_events > 0) & (arm_events < events)
+    log_hr = np.full(time.shape[0], np.nan)
+    if fitted.any():
+        data = _ArmRiskSets(time[fitted], event[fitted], arm[fitted])
+        beta, _, _, _, _, converged = _newton(
+            data.loglik_score_info, data.m, 1, MAX_ITERATIONS, SCORE_TOL)
+        log_hr[np.flatnonzero(fitted)[converged]] = beta[converged, 0]
+    return log_hr
 
 
 def cox_fit_dataset(dataset, covariates=("arm",)):

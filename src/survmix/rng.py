@@ -37,22 +37,21 @@ def check_seed(seed):
 def substream_uniforms(seed, ids, stream):
     """Uniforms in the open interval (0, 1), one per id, for a named substream.
 
-    The value at a given (seed, id, stream) never depends on which other ids
-    are being generated alongside it.
+    `seed` is one seed or a 1-d sequence of seeds; the result has one row of
+    draws per seed, each row equal to the call with that seed alone. The
+    value at a given (seed, id, stream) never depends on which other seeds
+    and ids are being generated alongside it.
     """
-    key = check_seed(seed)
+    if np.ndim(seed) == 0:
+        key = check_seed(seed)
+    else:
+        key = np.array([check_seed(s) for s in seed], dtype=np.uint64)
     ids = np.asarray(ids, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix64(key + _GAMMA * np.uint64(stream + 1))
-        bits = _mix64((ids + np.uint64(1)) * _GAMMA + z)
+        bits = _mix64((ids + np.uint64(1)) * _GAMMA + z.reshape(z.shape + (1,) * ids.ndim))
     # 53 high bits, offset by half an ulp: strictly inside (0, 1)
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
-def substream_exponentials(seed, ids, stream, rate):
-    """Exponential(rate) draws by inversion; `rate` may be scalar or per-id."""
-    u = substream_uniforms(seed, ids, stream)
-    return -np.log(u) / rate
 
 
 def derive_seed(seed, index):

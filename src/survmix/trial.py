@@ -165,28 +165,51 @@ class Dataset:
         return covariate_matrix(vars(self), names)
 
 
-def _potential_times(config):
+def _potential_times(config, seed):
+    """ids, arm, stratum and the two potential times of every individual,
+    drawn with `seed` in place of config.seed.
+
+    `seed` is one seed, or a 1-d sequence of seeds; then stratum and the
+    times have one row per seed, each row the draw with that seed alone.
+    """
     truth, n = config.truth, config.n_per_arm
     ids = np.arange(2 * n, dtype=np.int64)
     arm = (ids >= n).astype(np.int64)
 
     cum_weights = np.cumsum(truth.control.weights)
-    u_strat = rng.substream_uniforms(config.seed, ids, rng.STREAM_STRATUM)
+    u_strat = rng.substream_uniforms(seed, ids, rng.STREAM_STRATUM)
     stratum = np.searchsorted(cum_weights, u_strat, side="left")
     stratum = np.minimum(stratum, len(cum_weights) - 1)
 
     rates_0 = np.asarray(truth.control.rates)[stratum]
     rates_1 = np.asarray(truth.research.rates)[stratum]
-    u0 = rng.substream_uniforms(config.seed, ids, rng.STREAM_EVENT_PRIMARY)
+    u0 = rng.substream_uniforms(seed, ids, rng.STREAM_EVENT_PRIMARY)
     if config.coupling == COUPLING_COMONOTONE:
         log_u0 = -np.log(u0)
         t0 = log_u0 / rates_0
         t1 = log_u0 / rates_1
     else:
-        u1 = rng.substream_uniforms(config.seed, ids, rng.STREAM_EVENT_SECONDARY)
+        u1 = rng.substream_uniforms(seed, ids, rng.STREAM_EVENT_SECONDARY)
         t0 = -np.log(u0) / rates_0
         t1 = -np.log(u1) / rates_1
     return ids, arm, stratum, t0, t1
+
+
+def _censoring_draws(seed, ids):
+    """Unit-rate exponential draws of the censoring substream; divided by a
+    spec's rate they are its censoring times."""
+    return -np.log(rng.substream_uniforms(seed, ids, rng.STREAM_CENSORING))
+
+
+def _censor(t_assigned, spec, censoring_draws):
+    """Observed time and event indicator of the assigned potential times
+    under `spec`; `censoring_draws` is used only when spec.rate is set."""
+    censor = np.inf
+    if spec.admin_time is not None:
+        censor = np.minimum(censor, spec.admin_time)
+    if spec.rate is not None:
+        censor = np.minimum(censor, censoring_draws / spec.rate)
+    return np.minimum(t_assigned, censor), t_assigned <= censor
 
 
 def apply_censoring(dataset, spec, seed):
@@ -196,17 +219,8 @@ def apply_censoring(dataset, spec, seed):
     C ~ Exponential(rate) drawn independently per individual from the
     censoring substream of `seed`; 'both' takes the min of all three.
     """
-    t_assigned = dataset.assigned_potential_time()
-    censor = np.full(len(dataset), np.inf)
-    if spec.admin_time is not None:
-        censor = np.minimum(censor, spec.admin_time)
-    if spec.rate is not None:
-        censor = np.minimum(
-            censor,
-            rng.substream_exponentials(seed, dataset.ids, rng.STREAM_CENSORING, spec.rate),
-        )
-    observed = np.minimum(t_assigned, censor)
-    event = t_assigned <= censor
+    draws = _censoring_draws(seed, dataset.ids) if spec.rate is not None else None
+    observed, event = _censor(dataset.assigned_potential_time(), spec, draws)
     config = dataset.config
     if config is not None and config.censoring != spec:
         config = replace(config, censoring=spec)
@@ -221,10 +235,25 @@ def simulate(config):
     Deterministic given config.seed. Exactly n_per_arm individuals per arm,
     ids 0 .. 2n-1, arm 0 (control) first.
     """
-    ids, arm, stratum, t0, t1 = _potential_times(config)
+    ids, arm, stratum, t0, t1 = _potential_times(config, config.seed)
     uncensored = Dataset(ids, arm, stratum, t0, t1,
                          np.where(arm == 0, t0, t1), np.ones(ids.size, dtype=bool),
                          config)
     if config.censoring.kind == "none":
         return uncensored
     return apply_censoring(uncensored, config.censoring, config.seed)
+
+
+def censored_replicates(config, seeds, specs):
+    """Arm and, per spec, the observed times and events of one trial per seed.
+
+    Row r of each spec's arrays equals simulate(replace(config, seed=seeds[r],
+    censoring=spec)): the potential outcomes and censoring draws are made
+    once for all specs. Returns the arm column and an iterator over the specs.
+    """
+    ids, arm, _, t0, t1 = _potential_times(config, seeds)
+    t_assigned = np.where(arm == 0, t0, t1)
+    draws = None
+    if any(spec.rate is not None for spec in specs):
+        draws = _censoring_draws(seeds, ids)
+    return arm, (_censor(t_assigned, spec, draws) for spec in specs)

@@ -198,6 +198,16 @@ class TestFitCommand:
             for command in (("fit", str(path)), ("estimands", "--source", str(path))):
                 assert run(*command, "--out", str(tmp_path / "out")) == 1
                 assert f"row {row}:" in capsys.readouterr().err
+        # a repeated column is a header fault: the message names the column
+        for header, repeated, line in (("id,arm,observed_time,event,event", "event",
+                                        "{i},{arm},{i}.5,1,1"),
+                                       ("id,arm,arm,observed_time,event", "arm",
+                                        "{i},{arm},{arm},{i}.5,1")):
+            body = [line.format(i=i, arm=i % 2) for i in range(4)]
+            path.write_text(header + "\n" + "\n".join(body) + "\n")
+            for command in (("fit", str(path)), ("estimands", "--source", str(path))):
+                assert run(*command, "--out", str(tmp_path / "out")) == 1
+                assert f"repeated column(s) {repeated}\n" in capsys.readouterr().err
 
     def test_missing_file_rejected(self):
         assert run("fit", "/no/such/file.csv") == 1

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from survmix import (CensoringSpec, EstimatedCurves, MixtureArm, TrialConfig,
-                     TwoArmTruth, censoring_sensitivity, cumulative_hazard,
-                     landmark_contrast, log_survival_ratio, marginal_survival,
-                     rmst, simulate)
+                     TwoArmTruth, censoring_sensitivity, cox_fit_dataset,
+                     cumulative_hazard, estimands, landmark_contrast,
+                     log_survival_ratio, marginal_survival, rmst, simulate)
+from survmix.rng import derive_seed
 
 # frozen from a 50-digit evaluation of the closed forms (two_point_truth)
 LANDMARK_DIFF_AT_1 = 0.10933106491176293
@@ -199,3 +202,70 @@ class TestCensoringSensitivity:
         first = censoring_sensitivity(config, [spec], replicates=10)
         second = censoring_sensitivity(config, [spec], replicates=10)
         assert first == second
+
+
+def reference_log_hrs(config, specs, replicates):
+    """The per-replicate loop: one simulation and one Cox fit per (spec,
+    replicate); nan where the fit raises or does not converge."""
+    log_hrs = np.full((len(specs), replicates), np.nan)
+    for k, spec in enumerate(specs):
+        for r in range(replicates):
+            dataset = simulate(replace(config, seed=derive_seed(config.seed, r),
+                                       censoring=spec))
+            try:
+                fit = cox_fit_dataset(dataset, covariates=("arm",))
+            except ValueError:
+                continue
+            if fit.converged:
+                log_hrs[k, r] = fit.log_hr
+    return log_hrs
+
+
+class TestBatchedReplicatesMatchReference:
+    SPECS = [CensoringSpec("none"),
+             CensoringSpec("administrative", admin_time=2.0),
+             CensoringSpec("exponential", rate=0.3),
+             CensoringSpec("both", admin_time=4.0, rate=0.1)]
+
+    def check(self, config, specs, replicates):
+        expected = reference_log_hrs(config, specs, replicates)
+        batched = estimands._replicate_log_hrs(config, specs, replicates)
+        np.testing.assert_array_equal(np.isnan(batched), np.isnan(expected))
+        np.testing.assert_allclose(batched, expected, rtol=0.0, atol=1e-12)
+        rows = censoring_sensitivity(config, specs, replicates)
+        for row, spec, betas in zip(rows, specs, expected):
+            ok = betas[np.isfinite(betas)]
+            assert row.spec_label == spec.label()
+            assert (row.n_ok, row.n_failed) == (ok.size, replicates - ok.size)
+            if ok.size:
+                assert row.mean_beta == pytest.approx(ok.mean(), abs=1e-12)
+        return expected
+
+    @pytest.mark.parametrize("coupling", ["comonotone", "independent"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_boundaries(self, two_point_truth, monkeypatch, coupling, offset):
+        n_per_arm, block = 40, 4
+        monkeypatch.setattr(estimands, "_BLOCK_ROWS", block * 2 * n_per_arm)
+        config = TrialConfig(truth=two_point_truth, n_per_arm=n_per_arm,
+                             coupling=coupling, seed=91)
+        self.check(config, self.SPECS, block + offset)
+
+    def test_default_block(self, two_point_truth):
+        config = TrialConfig(truth=two_point_truth, n_per_arm=200, seed=92)
+        self.check(config, self.SPECS[1:3], 40)
+
+    def test_no_events(self, two_point_truth):
+        config = TrialConfig(truth=two_point_truth, n_per_arm=5, seed=93)
+        spec = CensoringSpec("administrative", admin_time=1e-6)
+        expected = self.check(config, [spec], 6)
+        assert np.isnan(expected).all()
+
+    @pytest.mark.parametrize("coupling", ["comonotone", "independent"])
+    def test_tiny_arms(self, two_point_truth, coupling):
+        # one or two per arm: events in one arm only, and separated samples
+        # whose fit diverges
+        for n_per_arm in (1, 2):
+            config = TrialConfig(truth=two_point_truth, n_per_arm=n_per_arm,
+                                 coupling=coupling, seed=94)
+            expected = self.check(config, self.SPECS, 30)
+            assert np.isnan(expected).any()

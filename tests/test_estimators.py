@@ -5,6 +5,8 @@ from survmix import (CoxFit, MixtureArm, TrialConfig, TwoArmTruth,
                      breslow_baseline, cox_fit, cox_fit_dataset, fit_report,
                      kaplan_meier, marginal_density, marginal_survival,
                      nelson_aalen, period_specific_cox, simulate)
+from survmix.estimators import (MAX_ITERATIONS, SCORE_TOL, _CoxData, _newton,
+                                cox_log_hr_stack)
 
 from conftest import brute_partial_loglik
 
@@ -73,6 +75,10 @@ class TestKaplanMeier:
             kaplan_meier([-1.0, 2.0], [1, 1])
         with pytest.raises(ValueError, match="> 0"):
             kaplan_meier([0.0, 2.0], [1, 1])
+        with pytest.raises(ValueError, match="1-d"):
+            kaplan_meier(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="1-d"):
+            cox_fit(np.ones((2, 3)), np.ones((2, 3)), np.ones(3))
 
     def test_consistency_against_truth(self, two_point_truth):
         ds = simulate(TrialConfig(truth=two_point_truth, n_per_arm=20_000, seed=13))
@@ -179,6 +185,56 @@ class TestCoxFit:
         assert report["hr_ci_upper"] == pytest.approx(
             np.exp(report["beta"] + 1.959964 * report["se"]), abs=1e-12)
         assert report["n_events"] == 4
+
+
+class TestStackedNewton:
+    def test_rows_follow_their_own_fits(self, two_point_truth):
+        # one solve over a stack equals one cox_fit per row, bit for bit,
+        # including a singular row (a repeated column) and a separated one
+        ds = simulate(TrialConfig(truth=two_point_truth, n_per_arm=300, seed=17))
+        arm_stratum = ds.covariate_matrix(("arm", "stratum"))
+        separated = np.column_stack([[3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+        problems = [(ds.observed_time, ds.event, arm_stratum),
+                    (TIME6, EVENT6, np.column_stack([X6, X6])),
+                    ([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], separated),
+                    (TIME6, EVENT6, np.column_stack([X6, TIME6 % 4]))]
+        data = [_CoxData(*problem) for problem in problems]
+
+        def evaluate(beta):
+            parts = [d.loglik_score_info(b) for d, b in zip(data, beta)]
+            return tuple(np.stack(column) for column in zip(*parts))
+
+        beta, ll, score, _, iterations, converged = _newton(
+            evaluate, len(data), 2, MAX_ITERATIONS, SCORE_TOL)
+        fits = [cox_fit(*problem) for problem in problems]
+        assert [f.converged for f in fits] == [True, False, False, True]
+        assert fits[1].iterations == 1
+        for r, fit in enumerate(fits):
+            assert beta[r].tobytes() == fit.coef.tobytes()
+            assert score[r].tobytes() == fit.score_at_max.tobytes()
+            assert ll[r] == fit.loglik_at_max
+            assert (iterations[r], converged[r]) == (fit.iterations, fit.converged)
+
+    def test_arm_stack_matches_cox_fit(self):
+        rng = np.random.default_rng(3)
+        time = np.round(rng.exponential(size=(8, 25)), 1) + 0.1  # many ties
+        event = rng.random((8, 25)) < 0.6
+        arm = rng.integers(0, 2, (8, 25))
+        event[0] = False                    # no events
+        event[1] &= arm[1] == 0             # events in one arm only
+        arm[2] = (time[2] > np.median(time[2])).astype(int)  # separated
+        event[2] = True
+        log_hr = cox_log_hr_stack(time, event, arm)
+        for r in range(len(time)):
+            try:
+                fit = cox_fit(time[r], event[r], arm[r])
+            except ValueError:
+                assert np.isnan(log_hr[r]) and r < 2
+                continue
+            if fit.converged:
+                assert log_hr[r] == pytest.approx(fit.log_hr, abs=1e-12)
+            else:
+                assert np.isnan(log_hr[r]) and r == 2
 
 
 class TestPeriodSpecificCox:
