@@ -49,11 +49,17 @@ class InputError(ValueError):
 
 
 def _atomic_write(path, chunks):
-    """Write an iterable of strings to `path`, or leave it untouched on failure."""
+    """Write an iterable of strings to `path`, or leave it untouched on failure.
+
+    The data reach the disk (fsync) before the rename makes them visible, so a
+    crash leaves the old file or the complete new one.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -154,13 +154,15 @@ def log_survival_ratio(source, t):
 
     Under proportional hazards this is constant in t and equals the hazard
     ratio itself, which is what makes it a population-level causal contrast.
-    Undefined where either survival equals 1 (no events yet) or 0.
+    Undefined where either survival equals 1 (no events yet), and refused
+    where either is below the smallest normal float: a subnormal S has lost
+    the digits that log S needs, and 0 has none.
     """
     if not t > 0.0:
         raise ValueError("time must be > 0")
     s0, s1 = _survival_pair(source, t)
     for label, s in (("control", s0), ("research", s1)):
-        if not 0.0 < s < 1.0:
+        if not np.finfo(float).tiny <= s < 1.0:
             raise ValueError(
                 f"log-survival ratio undefined at t={t:g}: {label} survival is {s:g}"
             )

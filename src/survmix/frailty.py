@@ -11,8 +11,9 @@ over time as high-rate strata are depleted from the survivors, and the
 marginal hazard ratio between two such populations drifts even when the
 stratum-wise ratios are a common constant.
 
-All evaluations of h, H and the survivor composition run in the log domain so
-that they stay exact out to times where exp(-rate*t) underflows.
+H, h and the survivor composition come from one log-domain evaluation, so
+they stay exact out to times where exp(-rate*t) underflows. S is the direct
+sum, exact because its terms are positive; it reaches 0.0 while H stays finite.
 """
 
 from dataclasses import dataclass
@@ -77,16 +78,18 @@ def _as_times(t):
     return arr, arr.ndim == 0
 
 
-def _log_terms(arm, t):
-    """log(w_k) - rate_k * t, shape (K,) + t.shape."""
-    logw = np.log(arm.weights)
-    rates = np.asarray(arm.rates)
-    return logw.reshape((-1,) + (1,) * t.ndim) - np.multiply.outer(rates, t)
-
-
-def _logsumexp(a, axis=0):
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+def _log_mixture(arm, t):
+    """(H, composition, h) at t from the K x t.shape terms log w_k - rate_k t,
+    shifted by their maximum, exponentiated and normalised in place."""
+    comp = np.multiply.outer(-np.asarray(arm.rates), t)
+    comp += np.log(arm.weights).reshape((-1,) + (1,) * t.ndim)
+    top = comp.max(axis=0)
+    comp -= top
+    np.exp(comp, out=comp)
+    total = comp.sum(axis=0)
+    comp /= total
+    h = np.einsum("k,k...->...", np.asarray(arm.rates), comp)
+    return -(top + np.log(total)), comp, h
 
 
 def marginal_survival(arm, t):
@@ -100,7 +103,7 @@ def marginal_survival(arm, t):
 def cumulative_hazard(arm, t):
     """H(t) = -log S(t), evaluated in the log domain."""
     t, scalar = _as_times(t)
-    value = -_logsumexp(_log_terms(arm, t))
+    value = _log_mixture(arm, t)[0]
     return float(value) if scalar else value
 
 
@@ -110,11 +113,7 @@ def survivor_composition(arm, t):
     At t=0 this is the prior weights; as t grows it concentrates on the
     minimum-rate stratum. Entries sum to 1 at any t.
     """
-    t, _ = _as_times(t)
-    terms = _log_terms(arm, t)
-    comp = np.exp(terms - _logsumexp(terms))
-    comp /= comp.sum(axis=0)
-    return comp
+    return _log_mixture(arm, _as_times(t)[0])[1]
 
 
 def marginal_hazard(arm, t):
@@ -124,23 +123,19 @@ def marginal_hazard(arm, t):
     at sum_k w_k rate_k and decreases toward min(rates).
     """
     t, scalar = _as_times(t)
-    comp = survivor_composition(arm, t)
-    h = np.einsum("k,k...->...", np.asarray(arm.rates), comp)
+    h = _log_mixture(arm, t)[2]
     return float(h) if scalar else h
 
 
 def marginal_density(arm, t):
-    """f(t) = sum_k w_k rate_k exp(-rate_k t); equals h(t) * S(t)."""
-    t, scalar = _as_times(t)
-    wr = np.asarray(arm.weights) * np.asarray(arm.rates)
-    f = np.einsum("k,k...->...", wr, np.exp(np.multiply.outer(-np.asarray(arm.rates), t)))
-    return float(f) if scalar else f
+    """f(t) = sum_k w_k rate_k exp(-rate_k t) = h(t) * S(t)."""
+    return marginal_hazard(arm, t) * marginal_survival(arm, t)
 
 
 def hazard_ratio(truth, t):
     """Marginal hazard ratio research / control at time t."""
     t, scalar = _as_times(t)
-    hr = marginal_hazard(truth.research, t) / marginal_hazard(truth.control, t)
+    hr = _log_mixture(truth.research, t)[2] / _log_mixture(truth.control, t)[2]
     return float(hr) if scalar else hr
 
 
@@ -184,17 +179,25 @@ class CurveTable:
                 col = getattr(self, f"{name}_{armlabel}")
                 if col.shape != grid.shape:
                     raise ValueError(f"{name}_{armlabel} does not match the grid")
+        tiny = np.finfo(float).tiny
         for armlabel in (ARM_CONTROL, ARM_RESEARCH):
             surv = getattr(self, f"survival_{armlabel}")
             cumh = getattr(self, f"cum_hazard_{armlabel}")
             haz = getattr(self, f"hazard_{armlabel}")
-            if np.any(surv <= 0.0) or np.any(surv > 1.0) or np.any(np.diff(surv) > 0.0):
-                raise ValueError(f"survival_{armlabel} must be non-increasing in (0, 1]")
-            if grid[0] == 0.0 and surv[0] != 1.0:
+            # S is a mixture sum whose weights sum to 1 within WEIGHT_SUM_TOL
+            if (np.any(surv < 0.0) or np.any(surv > 1.0 + WEIGHT_SUM_TOL)
+                    or np.any(np.diff(surv) > 0.0)):
+                raise ValueError(f"survival_{armlabel} must be non-increasing in [0, 1]")
+            if grid[0] == 0.0 and abs(surv[0] - 1.0) > WEIGHT_SUM_TOL:
                 raise ValueError(f"survival_{armlabel} must equal 1 at t=0")
             if np.any(haz <= 0.0):
                 raise ValueError(f"hazard_{armlabel} must be positive")
-            if np.max(np.abs(cumh + np.log(surv))) > 1e-10:
+            # H = -log S where S is a normal float; a subnormal or zero S has
+            # lost its digits, and there H must lie past -log(tiny)
+            normal = surv >= tiny
+            if (not np.isfinite(cumh).all()
+                    or np.any(np.abs(cumh[normal] + np.log(surv[normal])) > 1e-10)
+                    or np.any(cumh[~normal] < -np.log(tiny))):
                 raise ValueError(f"cum_hazard_{armlabel} != -log(survival)")
 
     def __len__(self):
@@ -204,18 +207,14 @@ class CurveTable:
 def truth_curves(truth, grid):
     """Tabulate survival, hazard, cumulative hazard and the HR on a time grid."""
     grid = check_grid(grid)
-    hc = marginal_hazard(truth.control, grid)
-    hr = marginal_hazard(truth.research, grid)
-    return CurveTable(
-        grid=grid,
-        survival_control=marginal_survival(truth.control, grid),
-        survival_research=marginal_survival(truth.research, grid),
-        hazard_control=hc,
-        hazard_research=hr,
-        cum_hazard_control=cumulative_hazard(truth.control, grid),
-        cum_hazard_research=cumulative_hazard(truth.research, grid),
-        hazard_ratio=hr / hc,
-    )
+    columns = {}
+    for label in (ARM_CONTROL, ARM_RESEARCH):
+        arm = getattr(truth, label)
+        columns[f"survival_{label}"] = marginal_survival(arm, grid)
+        # [::2] frees the composition before the next arm is evaluated
+        columns[f"cum_hazard_{label}"], columns[f"hazard_{label}"] = _log_mixture(arm, grid)[::2]
+    return CurveTable(grid=grid, hazard_ratio=columns["hazard_research"]
+                      / columns["hazard_control"], **columns)
 
 
 def default_grid(t_min=0.0, t_max=30.0, points=601):

@@ -12,7 +12,7 @@ from survmix import CensoringSpec, Dataset, TrialConfig, simulate
 from survmix import cli
 from survmix.cli import (InputError, _atomic_write, main, parse_censoring_list,
                          read_dataset_csv, write_curve_tables, write_dataset)
-from survmix.config import default_config
+from survmix.config import default_config, default_config_text
 
 LATENT_HEADER = ("id,arm,stratum,potential_time_0,potential_time_1,"
                  "observed_time,event")
@@ -72,6 +72,25 @@ class TestTruthCommand:
 
     def test_unwritable_output_is_io_error(self):
         assert run("truth", "--out", "/dev/null/out") == 2
+
+    def test_weights_summing_to_one_within_tolerance(self, tmp_path):
+        # the float sum of 0.7, 0.2, 0.1 is 0.9999999999999999
+        cfg = tmp_path / "uneven.cfg"
+        cfg.write_text("[truth.control]\nweights = 0.7, 0.2, 0.1\nrates = 1.0, 0.5, 0.1\n"
+                       "[truth.research]\nweights = 0.7, 0.2, 0.1\n"
+                       "rates = 0.5, 0.25, 0.05\n")
+        out = tmp_path / "out"
+        assert run("truth", "--config", str(cfg), "--out", str(out)) == 0
+        assert (out / "hr.csv").read_text().splitlines()[1] == "0,0.81,0.405,0.5"
+
+    def test_late_grid_reaches_zero_survival(self, tmp_path):
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text(default_config_text().replace("max = 30.0", "max = 8000")
+                       .replace("points = 601", "points = 11"))
+        out = tmp_path / "out"
+        assert run("truth", "--config", str(cfg), "--out", str(out)) == 0
+        rows = (out / "curves.csv").read_text().splitlines()
+        assert rows[-2] == "8000,control,0,0.1,800.693147"
 
 
 class TestSimulateCommand:
@@ -286,6 +305,24 @@ class TestCliPlumbing:
         with pytest.raises(OSError):
             _atomic_write(str(target), "text\n")
         assert os.listdir(tmp_path) == ["x.txt"]
+
+    def test_atomic_write_syncs_before_replace(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def fake_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))  # flushed by now
+            fsync(fd)
+
+        def fake_replace(src, dst):
+            calls.append(("replace", os.path.getsize(src)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fake_fsync)
+        monkeypatch.setattr(os, "replace", fake_replace)
+        _atomic_write(str(tmp_path / "x.txt"), ["ab\n", "cd\n"])
+        assert calls == [("fsync", 6), ("replace", 6)]
+        assert read(tmp_path / "x.txt") == b"ab\ncd\n"
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), n_per_arm=st.integers(1, 40),

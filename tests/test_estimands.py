@@ -151,6 +151,10 @@ class TestLogSurvivalRatio:
     def test_undefined_at_zero_or_degenerate(self, two_point_truth):
         with pytest.raises(ValueError, match="> 0"):
             log_survival_ratio(two_point_truth, 0.0)
+        # a subnormal survival has lost the digits log S needs; 0 has none
+        for t, s0 in ((7400.0, "2.07508e-322"), (8000.0, "0")):
+            with pytest.raises(ValueError, match=f"control survival is {s0}$"):
+                log_survival_ratio(two_point_truth, t)
         source = small_estimated_source()
         with pytest.raises(ValueError, match="undefined"):
             log_survival_ratio(source, 0.4)  # before the first event: S = 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ H_CONTROL_AT_1 = 0.2605249359550192
 F_CONTROL_AT_1 = 0.19687453582995634
 CUMHAZ_CONTROL_AT_1 = 0.28013192815999266
 HR_AT_1 = 0.5375040205812843
+TINY = np.finfo(float).tiny  # smallest normal float
 
 
 @st.composite
@@ -103,7 +105,7 @@ class TestMarginalHazard:
         with pytest.raises(ValueError):
             marginal_hazard(two_point_truth.control, -1e-9)
 
-    @given(arm=mixture_arms(), t=st.floats(0.0, 50.0))
+    @given(arm=mixture_arms(), t=st.floats(0.0, 1e4))
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_rates(self, arm, t):
         h = marginal_hazard(arm, t)
@@ -138,11 +140,13 @@ class TestMarginalDensity:
     def test_tail_vanishes(self, two_point_truth):
         assert marginal_density(two_point_truth.control, 500.0) < 1e-20
 
-    @given(arm=mixture_arms(), t=st.floats(0.0, 40.0))
+    @given(arm=mixture_arms(), t=st.floats(0.0, 1e4))
     @settings(max_examples=60, deadline=None)
     def test_equals_hazard_times_survival(self, arm, t):
-        product = marginal_hazard(arm, t) * marginal_survival(arm, t)
-        assert marginal_density(arm, t) == pytest.approx(product, abs=1e-12)
+        # h * S against the direct sum of positive terms, relative down to the
+        # smallest normal float, below which both have lost digits
+        direct = sum(w * r * math.exp(-r * t) for w, r in zip(arm.weights, arm.rates))
+        assert marginal_density(arm, t) == pytest.approx(direct, rel=1e-12, abs=TINY)
 
     def test_integrates_to_event_probability(self, two_point_truth):
         # fine trapezoid of f over [0, T] vs 1 - S(T)
@@ -164,11 +168,16 @@ class TestCumulativeHazard:
         assert cumulative_hazard(two_point_truth.control, 1.0) == pytest.approx(
             CUMHAZ_CONTROL_AT_1, abs=1e-13)
 
-    @given(arm=mixture_arms(), t=st.floats(0.0, 50.0))
+    @given(arm=mixture_arms(), t=st.floats(0.0, 1e4))
     @settings(max_examples=60, deadline=None)
     def test_exp_recovers_survival(self, arm, t):
-        assert math.exp(-cumulative_hazard(arm, t)) == pytest.approx(
-            marginal_survival(arm, t), abs=1e-12)
+        # relative where S is a normal float; a subnormal or zero S has lost
+        # its digits, and there H must lie past -log(tiny)
+        surv, cumh = marginal_survival(arm, t), cumulative_hazard(arm, t)
+        if surv >= TINY:
+            assert math.exp(-cumh) == pytest.approx(surv, rel=1e-12, abs=0)
+        else:
+            assert cumh >= -math.log(TINY)
 
     def test_strictly_increasing(self, two_point_truth):
         grid = np.linspace(0.0, 30.0, 301)
@@ -194,7 +203,7 @@ class TestSurvivorComposition:
         comp = survivor_composition(two_point_truth.control, 1e5)
         assert np.isfinite(comp).all() and comp.sum() == pytest.approx(1.0, abs=1e-12)
 
-    @given(arm=mixture_arms(), t=st.floats(0.0, 100.0))
+    @given(arm=mixture_arms(), t=st.floats(0.0, 1e4))
     @settings(max_examples=60, deadline=None)
     def test_sums_to_one(self, arm, t):
         assert survivor_composition(arm, t).sum() == pytest.approx(1.0, abs=1e-12)
@@ -287,6 +296,35 @@ class TestTruthCurves:
             assert np.all(np.diff(surv) < 0)
             assert np.all((surv > 0) & (surv <= 1))
             assert np.max(np.abs(cumh + np.log(surv))) < 1e-10
+
+    def test_late_times_reach_zero_survival(self, two_point_truth):
+        # S underflows through the subnormals to 0.0 while H stays finite
+        table = truth_curves(two_point_truth, np.linspace(0.0, 8000.0, 80001))
+        surv = table.survival_control
+        assert surv[-1] == 0.0
+        assert np.any((surv > 0.0) & (surv < TINY))
+        assert table.cum_hazard_control[-1] == pytest.approx(800 + math.log(2), rel=1e-15)
+        assert table.hazard_control[-1] == pytest.approx(0.1, rel=1e-15)
+        assert table.hazard_ratio[-1] == pytest.approx(0.5, rel=1e-15)
+        cumh = table.cum_hazard_control.copy()
+        cumh[-1] = 700.0  # short of -log(tiny) where S = 0
+        with pytest.raises(ValueError, match="cum_hazard_control"):
+            replace(table, cum_hazard_control=cumh)
+
+    def test_weights_summing_to_one_within_tolerance(self):
+        # the float sum of these weights is 0.9999999999999999
+        uneven = TwoArmTruth(
+            control=MixtureArm(weights=(0.7, 0.2, 0.1), rates=(1.0, 0.5, 0.1)),
+            research=MixtureArm(weights=(0.7, 0.2, 0.1), rates=(0.5, 0.25, 0.05)),
+        )
+        table = truth_curves(uneven, default_grid(points=11))
+        assert table.survival_control[0] == pytest.approx(1.0, abs=1e-15)
+        assert table.hazard_control[0] == pytest.approx(0.81, abs=1e-15)
+        # S(0) one rounding step either side of 1 is accepted
+        for s0 in (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)):
+            surv = table.survival_control.copy()
+            surv[0] = s0
+            assert replace(table, survival_control=surv).survival_control[0] == s0
 
     def test_bad_grids_rejected(self, two_point_truth):
         with pytest.raises(ValueError):
