@@ -14,6 +14,13 @@ stratum-wise ratios are a common constant.
 H, h and the survivor composition come from one log-domain evaluation, so
 they stay exact out to times where exp(-rate*t) underflows. S is the direct
 sum, exact because its terms are positive; it reaches 0.0 while H stays finite.
+H is clamped at 0, its least value; unclamped, rounding puts it at -1.1e-16
+at t=0 for weights such as 0.7, 0.2, 0.1.
+
+The times are taken in blocks of 2048 through one K x 2048 scratch array, so
+memory does not grow with the grid length. Every sum over the strata adds
+them left to right, in the same order at any block width, so a time gets the
+same bits on any grid, in any block and as a scalar.
 """
 
 from dataclasses import dataclass
@@ -78,32 +85,81 @@ def _as_times(t):
     return arr, arr.ndim == 0
 
 
-def _log_mixture(arm, t):
-    """(H, composition, h) at t from the K x t.shape terms log w_k - rate_k t,
-    shifted by their maximum, exponentiated and normalised in place."""
-    comp = np.multiply.outer(-np.asarray(arm.rates), t)
-    comp += np.log(arm.weights).reshape((-1,) + (1,) * t.ndim)
-    top = comp.max(axis=0)
-    comp -= top
-    np.exp(comp, out=comp)
-    total = comp.sum(axis=0)
-    comp /= total
-    h = np.einsum("k,k...->...", np.asarray(arm.rates), comp)
-    return -(top + np.log(total)), comp, h
+# times per block: one K x _BLOCK scratch array is reused for every block, so
+# peak memory does not grow with the grid; 256 to 20000 timed alike at K = 256
+_BLOCK = 2048
+
+
+def _strata_sum(terms):
+    """Sum of a K x B array over its strata, adding the rows left to right.
+
+    np.add.reduce along axis 0 adds whole rows in order when B >= 2. A single
+    column is one contiguous run, which numpy sums pairwise, so that case is
+    added row by row.
+    """
+    if terms.shape[1] > 1:
+        return np.add.reduce(terms, axis=0)
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
+
+
+def _composition(arm, t, out):
+    """Fill out (K x t.size) with the survivor composition at the 1-d times t
+    and return H there.
+
+    The terms log w_k - rate_k t are shifted by their maximum over k,
+    exponentiated and normalised in place. H = -(top + log sum), clamped at 0:
+    the rounded sum can put it one step below 0.
+    """
+    np.multiply.outer(-np.asarray(arm.rates), t, out=out)
+    out += np.log(arm.weights)[:, None]
+    top = out.max(axis=0)
+    out -= top
+    np.exp(out, out=out)
+    total = _strata_sum(out)
+    out /= total
+    return np.maximum(-(top + np.log(total)), 0.0)
+
+
+def _mixture(arm, t, block=_BLOCK):
+    """(S, H, h) at the times t, each shaped like t.
+
+    The times are taken `block` at a time through one K x block scratch array,
+    so memory does not grow with K x t.size, and every strata sum runs left to
+    right: a time gets the same bits in any block, and as a scalar.
+    """
+    flat = t.ravel()
+    rates = np.asarray(arm.rates)[:, None]
+    weights = np.asarray(arm.weights)[:, None]
+    out = np.empty((3, flat.size))
+    scratch = np.empty((arm.n_strata, min(block, flat.size)))
+    for lo in range(0, flat.size, block):
+        tb = flat[lo:lo + block]
+        terms = scratch[:, :tb.size]
+        np.multiply(-rates, tb, out=terms)
+        np.exp(terms, out=terms)
+        terms *= weights
+        out[0, lo:lo + block] = _strata_sum(terms)
+        # terms then holds the composition, whose rate-weighted sum is h
+        out[1, lo:lo + block] = _composition(arm, tb, terms)
+        terms *= rates
+        out[2, lo:lo + block] = _strata_sum(terms)
+    return out.reshape((3,) + t.shape)
 
 
 def marginal_survival(arm, t):
     """S(t) = sum_k w_k exp(-rate_k t), the survival marginal to stratum."""
     t, scalar = _as_times(t)
-    s = np.einsum("k,k...->...", np.asarray(arm.weights),
-                  np.exp(np.multiply.outer(-np.asarray(arm.rates), t)))
+    s = _mixture(arm, t)[0]
     return float(s) if scalar else s
 
 
 def cumulative_hazard(arm, t):
     """H(t) = -log S(t), evaluated in the log domain."""
     t, scalar = _as_times(t)
-    value = _log_mixture(arm, t)[0]
+    value = _mixture(arm, t)[1]
     return float(value) if scalar else value
 
 
@@ -113,7 +169,10 @@ def survivor_composition(arm, t):
     At t=0 this is the prior weights; as t grows it concentrates on the
     minimum-rate stratum. Entries sum to 1 at any t.
     """
-    return _log_mixture(arm, _as_times(t)[0])[1]
+    t = _as_times(t)[0]
+    comp = np.empty((arm.n_strata, t.size))
+    _composition(arm, t.ravel(), comp)
+    return comp.reshape((arm.n_strata,) + t.shape)
 
 
 def marginal_hazard(arm, t):
@@ -123,19 +182,21 @@ def marginal_hazard(arm, t):
     at sum_k w_k rate_k and decreases toward min(rates).
     """
     t, scalar = _as_times(t)
-    h = _log_mixture(arm, t)[2]
+    h = _mixture(arm, t)[2]
     return float(h) if scalar else h
 
 
 def marginal_density(arm, t):
     """f(t) = sum_k w_k rate_k exp(-rate_k t) = h(t) * S(t)."""
-    return marginal_hazard(arm, t) * marginal_survival(arm, t)
+    t, scalar = _as_times(t)
+    s, _, h = _mixture(arm, t)
+    return float(h * s) if scalar else h * s
 
 
 def hazard_ratio(truth, t):
     """Marginal hazard ratio research / control at time t."""
     t, scalar = _as_times(t)
-    hr = _log_mixture(truth.research, t)[2] / _log_mixture(truth.control, t)[2]
+    hr = _mixture(truth.research, t)[2] / _mixture(truth.control, t)[2]
     return float(hr) if scalar else hr
 
 
@@ -209,10 +270,8 @@ def truth_curves(truth, grid):
     grid = check_grid(grid)
     columns = {}
     for label in (ARM_CONTROL, ARM_RESEARCH):
-        arm = getattr(truth, label)
-        columns[f"survival_{label}"] = marginal_survival(arm, grid)
-        # [::2] frees the composition before the next arm is evaluated
-        columns[f"cum_hazard_{label}"], columns[f"hazard_{label}"] = _log_mixture(arm, grid)[::2]
+        (columns[f"survival_{label}"], columns[f"cum_hazard_{label}"],
+         columns[f"hazard_{label}"]) = _mixture(getattr(truth, label), grid)
     return CurveTable(grid=grid, hazard_ratio=columns["hazard_research"]
                       / columns["hazard_control"], **columns)
 

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from survmix.config import (ConfigError, default_config, default_config_text,
-                            parse_config)
+from survmix.config import (ConfigError, RunConfig, default_config,
+                            default_config_text, parse_config)
+from survmix.frailty import MixtureArm, TwoArmTruth
+from survmix.trial import CENSORING_KINDS, COUPLINGS, CensoringSpec, TrialConfig
 
 MINIMAL = """
 [truth.control]
@@ -110,3 +114,88 @@ def test_parse_error_carries_origin():
 
 def test_default_text_round_trips():
     assert parse_config(default_config_text()) == default_config()
+
+
+def _fill_template(text, values):
+    """The config text with its `key = value` lines replaced by `values`, a
+    (section, key) -> text mapping written under each section header."""
+    lines, section = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+            lines.append(line)
+            lines.extend(f"{k} = {v}" for (s, k), v in values.items() if s == section)
+        elif "=" in line:
+            assert (section, line.split("=")[0].strip()) in values
+        else:
+            lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+positive = st.floats(1e-3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def run_configs(draw):
+    """A RunConfig drawn field by field, with the (section, key) -> text
+    values that should encode it."""
+    k = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    weights = tuple(w / sum(raw) for w in raw)
+    arms = [MixtureArm(weights, draw(st.lists(positive, min_size=k, max_size=k)))
+            for _ in range(2)]
+    truth = TwoArmTruth(*arms)
+    kind = draw(st.sampled_from(CENSORING_KINDS))
+    admin_time = draw(positive) if kind in ("administrative", "both") else None
+    rate = draw(positive) if kind in ("exponential", "both") else None
+    trial = TrialConfig(truth=truth, n_per_arm=draw(st.integers(1, 10**6)),
+                        coupling=draw(st.sampled_from(COUPLINGS)),
+                        censoring=CensoringSpec(kind, admin_time, rate),
+                        seed=draw(st.integers(0, 2**64 - 1)))
+    grid_min = draw(st.floats(0.0, 100.0))
+    grid_max = grid_min + draw(st.floats(1.0, 100.0))
+    cutpoints = tuple(sorted(set(draw(st.lists(positive, max_size=4)))))
+    config = RunConfig(
+        truth=truth, trial=trial, grid_min=grid_min, grid_max=grid_max,
+        grid_points=draw(st.integers(1, 2000)),
+        covariates=draw(st.sampled_from([("arm",), ("arm", "stratum"), ("stratum", "arm")])),
+        cutpoints=cutpoints, landmark=draw(positive), rmst_horizon=draw(positive),
+        ratio_time=draw(positive), sensitivity_replicates=draw(st.integers(2, 10**4)),
+        out_dir=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)))
+
+    def numbers(xs):
+        return ", ".join(map(repr, xs))
+
+    values = {
+        ("truth.control", "weights"): numbers(weights),
+        ("truth.control", "rates"): numbers(truth.control.rates),
+        ("truth.research", "weights"): numbers(weights),
+        ("truth.research", "rates"): numbers(truth.research.rates),
+        ("trial", "n_per_arm"): trial.n_per_arm,
+        ("trial", "coupling"): trial.coupling,
+        ("trial", "seed"): trial.seed,
+        ("censoring", "kind"): kind,
+        ("grid", "min"): repr(grid_min),
+        ("grid", "max"): repr(grid_max),
+        ("grid", "points"): config.grid_points,
+        ("fit", "covariates"): ", ".join(config.covariates),
+        ("estimands", "landmark"): repr(config.landmark),
+        ("estimands", "rmst_horizon"): repr(config.rmst_horizon),
+        ("estimands", "ratio_time"): repr(config.ratio_time),
+        ("estimands", "sensitivity_replicates"): config.sensitivity_replicates,
+        ("output", "dir"): config.out_dir,
+    }
+    if admin_time is not None:
+        values[("censoring", "admin_time")] = repr(admin_time)
+    if rate is not None:
+        values[("censoring", "rate")] = repr(rate)
+    if cutpoints:
+        values[("fit", "cutpoints")] = numbers(cutpoints)
+    return config, values
+
+
+@given(case=run_configs())
+@settings(max_examples=100, deadline=None)
+def test_default_template_round_trips_any_config(case):
+    config, values = case
+    assert parse_config(_fill_template(default_config_text(), values)) == config

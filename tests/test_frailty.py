@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import survmix
 from survmix import (CurveTable, MixtureArm, TwoArmTruth, cumulative_hazard,
                      default_grid, hazard_ratio, limit_hazard_ratio,
                      marginal_density, marginal_hazard, marginal_survival,
                      survivor_composition, truth_curves)
+from survmix.frailty import _BLOCK, _mixture, _strata_sum
 
 # frozen from a 50-digit evaluation of the closed forms for the
 # two_point_truth fixture (weights .5/.5, control rates .1/.5,
@@ -23,8 +28,8 @@ TINY = np.finfo(float).tiny  # smallest normal float
 
 
 @st.composite
-def mixture_arms(draw):
-    k = draw(st.integers(min_value=1, max_value=4))
+def mixture_arms(draw, max_strata=4):
+    k = draw(st.integers(min_value=1, max_value=max_strata))
     raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
     weights = tuple(w / sum(raw) for w in raw)
     rates = tuple(draw(st.lists(st.floats(0.01, 5.0), min_size=k, max_size=k)))
@@ -174,6 +179,7 @@ class TestCumulativeHazard:
         # relative where S is a normal float; a subnormal or zero S has lost
         # its digits, and there H must lie past -log(tiny)
         surv, cumh = marginal_survival(arm, t), cumulative_hazard(arm, t)
+        assert cumh >= 0.0
         if surv >= TINY:
             assert math.exp(-cumh) == pytest.approx(surv, rel=1e-12, abs=0)
         else:
@@ -319,6 +325,8 @@ class TestTruthCurves:
         )
         table = truth_curves(uneven, default_grid(points=11))
         assert table.survival_control[0] == pytest.approx(1.0, abs=1e-15)
+        # -(top + log sum) is -1.1e-16 here before the clamp at 0
+        assert table.cum_hazard_control[0] == 0.0 == table.cum_hazard_research[0]
         assert table.hazard_control[0] == pytest.approx(0.81, abs=1e-15)
         # S(0) one rounding step either side of 1 is accepted
         for s0 in (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)):
@@ -347,6 +355,84 @@ class TestTruthCurves:
                 cum_hazard_research=table.cum_hazard_research,
                 hazard_ratio=table.hazard_ratio,
             )
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=float)).view(np.int64)
+
+
+class TestFixedOrderEvaluation:
+    """Every strata sum runs left to right, so a time gets the same bits
+    whatever block it falls in, and as a scalar."""
+
+    UNEVEN = MixtureArm(weights=(0.7, 0.2, 0.1), rates=(1.0, 0.5, 0.1))
+
+    def test_scalar_zero_matches_every_grid(self):
+        scalar = [_bits(f(self.UNEVEN, 0.0)) for f in
+                  (marginal_survival, cumulative_hazard, marginal_hazard)]
+        for n in range(2, 602):
+            grid = np.linspace(0.0, 30.0, n)
+            for value, f in zip(scalar, (marginal_survival, cumulative_hazard,
+                                         marginal_hazard)):
+                assert value == _bits(f(self.UNEVEN, grid)[0]), (f.__name__, n)
+
+    @given(arm=mixture_arms(max_strata=40),
+           steps=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=60),
+           start=st.sampled_from([0.0, 0.5, 700.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_for_any_block(self, arm, steps, start):
+        grid = start + np.cumsum([0.0] + steps[:-1])
+        n = grid.size
+        want = _mixture(arm, grid)
+        assert np.all(want[1] >= 0.0)
+        # block n - 1 leaves a one-point tail for n >= 3, as 2 does for odd n
+        for block in {1, 2, 3, max(n - 1, 1), n + 1, _BLOCK}:
+            assert np.array_equal(_bits(_mixture(arm, grid, block)), _bits(want)), block
+        for i, t in enumerate(grid):
+            assert np.array_equal(_bits(_mixture(arm, np.asarray(t))), _bits(want[:, i]))
+
+    def test_default_block_with_one_point_tail(self):
+        # more than 8 strata, where numpy's pairwise order differs from
+        # left to right
+        arm = MixtureArm(weights=(1 / 40,) * 40,
+                         rates=tuple(0.02 * 1.1 ** k for k in range(40)))
+        grid = np.linspace(0.0, 60.0, 2 * _BLOCK + 1)
+        want = _mixture(arm, grid, block=grid.size)
+        assert np.array_equal(_bits(_mixture(arm, grid)), _bits(want))
+
+    def test_strata_sum_is_left_to_right(self):
+        # guards numpy's row order for axis-0 reductions, which the
+        # fixed-order evaluation rests on
+        rng = np.random.default_rng(20260808)
+        for width in range(1, 65):
+            k = int(rng.integers(1, 300))
+            terms = np.exp(rng.uniform(-30.0, 5.0, size=(k, width + 3)))
+            for block in (terms, terms[:, 2:2 + width]):
+                want = []
+                for column in block.T.tolist():
+                    total = column[0]
+                    for value in column[1:]:
+                        total += value
+                    want.append(total)
+                assert np.array_equal(_bits(_strata_sum(block)), _bits(want)), (k, width)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # 256 strata x 2e5 points: K x P temporaries would need > 800 MB
+        code = (
+            "import resource, numpy as np\n"
+            "from survmix import MixtureArm, TwoArmTruth, truth_curves\n"
+            "k = 256\n"
+            "rates = [0.02 * 100.0 ** (i / (k - 1)) for i in range(k)]\n"
+            "truth = TwoArmTruth(MixtureArm([1 / k] * k, rates),\n"
+            "                    MixtureArm([1 / k] * k, [r / 2 for r in rates]))\n"
+            "truth_curves(truth, np.linspace(0.0, 60.0, 200_000))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        package_root = os.path.dirname(os.path.dirname(survmix.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True)
+        peak_mb = int(result.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+        assert peak_mb < 200.0
 
 
 def test_default_grid_shape():
