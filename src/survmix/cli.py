@@ -24,9 +24,9 @@ from . import __version__
 from .config import default_config, load_config
 from .estimands import (EstimatedCurves, censoring_sensitivity, landmark_contrast,
                         log_survival_ratio, rmst)
-from .estimators import cox_fit, fit_report, period_specific_cox
+from .estimators import check_cutpoints, cox_fit, fit_report, period_specific_cox
 from .frailty import default_grid, truth_curves
-from .trial import CensoringSpec, covariate_matrix, simulate
+from .trial import CensoringSpec, check_covariates, covariate_matrix, simulate
 
 DATASET_FILE = "dataset.csv"
 CURVES_FILE = "curves.csv"
@@ -253,7 +253,8 @@ def _check_values(path, out, names):
 
 
 def _write_json(path, payload):
-    _atomic_write(path, [json.dumps(payload, indent=2) + "\n"])
+    # a nan or inf is a bug upstream, never valid JSON in an output file
+    _atomic_write(path, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
     return path
 
 
@@ -328,13 +329,27 @@ def cmd_simulate(args):
     return 0
 
 
+def _checked_flag(flag, check, value):
+    """check(value), its ValueError re-raised as an InputError naming `flag`."""
+    try:
+        return check(value)
+    except ValueError as err:
+        raise InputError(f"{flag}: {err}") from None
+
+
 def cmd_fit(args):
     cfg = _load_run_config(args)
-    columns = read_dataset_csv(args.dataset)
     if args.covariates is not None:
-        covariates = tuple(args.covariates.replace(",", " ").split())
+        covariates = _checked_flag("--covariates", check_covariates,
+                                   args.covariates.replace(",", " ").split())
     else:
         covariates = cfg.covariates
+    if args.cutpoints is not None:
+        cutpoints = _checked_flag("--cutpoints", check_cutpoints,
+                                  args.cutpoints.split(","))
+    else:
+        cutpoints = cfg.cutpoints
+    columns = read_dataset_csv(args.dataset)
     try:
         x = covariate_matrix(columns, covariates)
     except KeyError as err:
@@ -342,12 +357,7 @@ def cmd_fit(args):
             f"{args.dataset} has no {err.args[0]!r} column; simulate with "
             "--reveal-latent to keep latent columns"
         ) from None
-    out_dir = _ensure_out_dir(args, cfg)
 
-    if args.cutpoints is not None:
-        cutpoints = args.cutpoints.split(",")
-    else:
-        cutpoints = cfg.cutpoints
     if cutpoints:
         period = period_specific_cox(columns["observed_time"], columns["event"], x,
                                      cutpoints, names=covariates)
@@ -370,14 +380,15 @@ def cmd_fit(args):
         fit = cox_fit(columns["observed_time"], columns["event"], x, names=covariates)
         payload = fit_report(fit)
 
-    path = _write_json(os.path.join(out_dir, FIT_FILE), payload)
+    path = _write_json(os.path.join(_ensure_out_dir(args, cfg), FIT_FILE), payload)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_estimands(args):
     cfg = _load_run_config(args)
-    out_dir = _ensure_out_dir(args, cfg)
+    if args.sensitivity:
+        specs = _checked_flag("--sensitivity", parse_censoring_list, args.sensitivity)
 
     if args.source == "truth":
         source = cfg.truth
@@ -400,12 +411,12 @@ def cmd_estimands(args):
         rmst(source, "difference", rmst_tau),
         log_survival_ratio(source, ratio_t),
     ]
+    out_dir = _ensure_out_dir(args, cfg)
     path = _write_json(os.path.join(out_dir, ESTIMANDS_FILE),
                        [_report_payload(r) for r in reports])
     written = [path]
 
     if args.sensitivity:
-        specs = parse_censoring_list(args.sensitivity)
         rows = censoring_sensitivity(cfg.trial, specs, cfg.sensitivity_replicates)
         sens_path = os.path.join(out_dir, SENSITIVITY_FILE)
         header = ("spec_label", "mean_beta", "mc_se", "n_ok", "n_failed")

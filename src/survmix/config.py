@@ -8,6 +8,7 @@ research rates 0.05/0.25, 500 per arm).
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -147,8 +148,8 @@ def _run_config(parser):
     replicates = _get(parser, "estimands", "sensitivity_replicates", int, 200, "integer")
     for field, value in (("landmark", landmark), ("rmst_horizon", rmst_horizon),
                          ("ratio_time", ratio_time)):
-        if not value > 0.0:
-            raise ConfigError(f"estimands.{field} must be > 0")
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"estimands.{field} must be finite and > 0")
     if replicates < 2:
         raise ConfigError("estimands.sensitivity_replicates must be >= 2")
 

@@ -26,6 +26,12 @@ SOURCE_ESTIMATED = "estimated"
 LANDMARK_KINDS = ("difference", "ratio", "risk_difference")
 
 
+def _check_time(t, what):
+    """Raise a ValueError naming `what` unless 0 < t < inf."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"{what} must be finite and > 0, got {t:g}")
+
+
 @dataclass(frozen=True)
 class EstimandReport:
     name: str
@@ -35,8 +41,7 @@ class EstimandReport:
     per_arm: dict
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("estimand horizon must be > 0")
+        _check_time(self.horizon, "estimand horizon")
         if not math.isfinite(self.value):
             raise ValueError(f"estimand {self.name} is not finite: {self.value}")
 
@@ -89,8 +94,7 @@ def landmark_contrast(source, t_star, kind="difference"):
     """Contrast of the arm survival probabilities at the landmark t_star."""
     if kind not in LANDMARK_KINDS:
         raise ValueError(f"kind must be one of {LANDMARK_KINDS}, got {kind!r}")
-    if not t_star > 0.0:
-        raise ValueError("landmark time must be > 0")
+    _check_time(t_star, "landmark time")
     s0, s1 = _survival_pair(source, t_star)
     if kind == "difference":
         value = s1 - s0
@@ -122,8 +126,7 @@ def _rmst_step(curve, tau):
 def rmst(source, arm, horizon):
     """Restricted mean survival time to `horizon` for one arm, or the
     research-minus-control difference when arm='difference'."""
-    if not horizon > 0.0:
-        raise ValueError("rmst horizon must be > 0")
+    _check_time(horizon, "rmst horizon")
     if arm not in ("control", "research", "difference"):
         raise ValueError(f"arm must be control, research or difference, got {arm!r}")
     per_arm = {}
@@ -158,8 +161,7 @@ def log_survival_ratio(source, t):
     where either is below the smallest normal float: a subnormal S has lost
     the digits that log S needs, and 0 has none.
     """
-    if not t > 0.0:
-        raise ValueError("time must be > 0")
+    _check_time(t, "time")
     s0, s1 = _survival_pair(source, t)
     for label, s in (("control", s0), ("research", s1)):
         if not np.finfo(float).tiny <= s < 1.0:

@@ -6,6 +6,7 @@ period-specific Cox fits on left-truncated risk sets, and the Breslow
 cumulative baseline hazard.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,52 +87,43 @@ class _ConstantCovariate(ValueError):
 
 
 def check_cutpoints(cutpoints):
-    """Period boundaries as a tuple of floats: non-empty, > 0, strictly increasing."""
+    """Period boundaries as a tuple of floats: non-empty, finite, > 0, strictly
+    increasing."""
     cutpoints = tuple(float(c) for c in cutpoints)
-    if len(cutpoints) == 0 or any(c <= 0 for c in cutpoints) \
+    if len(cutpoints) == 0 or not all(0.0 < c < math.inf for c in cutpoints) \
             or any(b <= a for a, b in zip(cutpoints, cutpoints[1:])):
-        raise ValueError("cutpoints must be strictly increasing and > 0")
+        raise ValueError("cutpoints must be finite, strictly increasing and > 0")
     return cutpoints
 
 
 class _RiskSets:
-    """Samples sorted once by time and grouped at their distinct event times.
+    """One sample sorted once by time and grouped at its distinct event times.
 
-    `time` and `event` hold one sample, or a stack of equally sized samples
-    with one per row. The group arrays run over the samples in row order:
-    group j belongs to sample row[j], and its risk set is every sorted row of
-    that sample from start[j] on, where start indexes the flattened sample.
+    Group j is the j-th distinct time with an event; its risk set is every
+    sorted row from start[j] on.
     """
-
-    _NDIM = 1              # one sample; a subclass may take a stack
-    _SORT_KIND = "stable"  # the Cox sums add tied rows in input order
 
     def __init__(self, time, event):
         time = np.asarray(time, dtype=float)
         event = np.asarray(event, dtype=bool)
-        if time.ndim != self._NDIM or time.size == 0 or time.shape != event.shape:
-            raise ValueError(
-                f"need matching non-empty {self._NDIM}-d time and event arrays")
+        if time.ndim != 1 or time.size == 0 or time.shape != event.shape:
+            raise ValueError("need matching non-empty 1-d time and event arrays")
         if not np.all(time > 0.0):
             raise ValueError("all observation times must be > 0")
-        if not event.any(axis=-1).all():
+        if not event.any():
             raise ValueError("sample contains no events")
-        self.order = np.argsort(time, axis=-1, kind=self._SORT_KIND)
-        self.time = np.take_along_axis(time, self.order, axis=-1)
-        self.event = np.take_along_axis(event, self.order, axis=-1)
-        self.n = time.shape[-1]
-        # first sorted row of each distinct time, then of each with an event;
-        # each sample starts a new time
-        flat = self.time.ravel()
-        new_time = np.r_[True, flat[1:] != flat[:-1]]
-        new_time[::self.n] = True
-        first = np.flatnonzero(new_time)
-        d = np.add.reduceat(self.event.ravel().astype(np.int64), first)
+        # stable: the Cox sums add tied rows in input order
+        self.order = np.argsort(time, kind="stable")
+        self.time = time[self.order]
+        self.event = event[self.order]
+        self.n = time.size
+        # first sorted row of each distinct time, then of each with an event
+        first = np.flatnonzero(np.r_[True, self.time[1:] != self.time[:-1]])
+        d = np.add.reduceat(self.event.astype(np.int64), first)
         self.start = first[d > 0]
-        self.row, offset = np.divmod(self.start, self.n)
-        self.times = flat[self.start]
+        self.times = self.time[self.start]
         self.d = d[d > 0]
-        self.n_risk = self.n - offset  # sorted ascending: everyone later is at risk
+        self.n_risk = self.n - self.start  # sorted ascending: everyone later is at risk
 
 
 def kaplan_meier(time, event):
@@ -154,13 +146,13 @@ def nelson_aalen(time, event):
     return StepCurve(rs.times, values, variance, n_risk, d, initial=0.0)
 
 
-def _suffix_sum(a):
-    """sum a[i:] for every i, by recursive doubling.
+def _suffix_sum(out):
+    """sum out[i:] for every i, in place along axis 0, by recursive doubling.
 
     Rounding error grows with log2(n) rather than n, which keeps the Cox
-    score resolvable below its 1e-8 tolerance even for ~1e6 rows.
+    score resolvable below its 1e-8 tolerance even for ~1e6 rows. Each column
+    of a 2-d `out` gets the same bits as it would alone.
     """
-    out = np.array(a, dtype=float, copy=True)
     n = out.shape[0]
     shift = 1
     while shift < n:
@@ -169,8 +161,19 @@ def _suffix_sum(a):
     return out
 
 
+def _is_binary(column):
+    """Every value is exactly +0.0 or 1.0 (-0.0 would flip the sign of a zero
+    product)."""
+    return bool(np.all((column == 1.0) | ((column == 0.0) & ~np.signbit(column))))
+
+
 class _CoxData(_RiskSets):
-    """Risk sets plus the sorted covariates shared by the Cox computations."""
+    """Risk sets plus the sorted covariates shared by the Cox computations.
+
+    loglik_score_info works in one (n, q) buffer allocated here: column 0
+    holds w = exp(x beta), columns 1..p hold x_k w, and the rest hold the
+    products x_k x_l w that `_pair_column` does not map onto another column.
+    """
 
     def __init__(self, time, event, x):
         super().__init__(time, event)
@@ -192,72 +195,108 @@ class _CoxData(_RiskSets):
         ex = np.where(self.event[:, None], self.x, 0.0)
         self.event_x_sum = np.add.reduceat(ex, self.start, axis=0)
         self.n_events = int(self.d.sum())
+        # buffer column of each x_k x_l w, computed as (x_k w) x_l. Where x_k
+        # is 0/1 that is x_k w itself, and where x_k or x_l is 0/1 the
+        # products (x_k w) x_l and (x_l w) x_k are bitwise equal, so one
+        # column serves both
+        binary = [_is_binary(self.x[:, j]) for j in range(self.p)]
+        self._pair_column = np.empty((self.p, self.p), dtype=np.intp)
+        self._products = []
+        for k in range(self.p):
+            for l in range(self.p):
+                if k == l and binary[k]:
+                    self._pair_column[k, l] = 1 + k
+                elif l < k and (binary[k] or binary[l]):
+                    self._pair_column[k, l] = self._pair_column[l, k]
+                else:
+                    self._pair_column[k, l] = 1 + self.p + len(self._products)
+                    self._products.append((k, l))
+        self._work = np.empty((self.n, 1 + self.p + len(self._products)))
 
     def loglik_score_info(self, beta):
         """Breslow partial log likelihood and its first two derivatives."""
-        eta = self.x @ beta
-        w = np.exp(eta)
-        xw = self.x * w[:, None]
-        xxw = xw[:, :, None] * self.x[:, None, :]
-        # suffix sums give risk-set aggregates at the head row of each group
-        w_risk = _suffix_sum(w)[self.start]
-        xw_risk = _suffix_sum(xw)[self.start]
-        xxw_risk = _suffix_sum(xxw)[self.start]
+        work, x, p = self._work, self.x, self.p
+        # exp and log go through contiguous arrays: numpy's vector and
+        # strided loops may round them differently
+        work[:, 0] = np.exp(x @ beta)
+        np.multiply(x, work[:, :1], out=work[:, 1:1 + p])
+        for c, (k, l) in enumerate(self._products, start=1 + p):
+            np.multiply(work[:, 1 + k], x[:, l], out=work[:, c])
+        # suffix sums give risk-set aggregates at the head row of each group;
+        # the gather copies them out of the buffer
+        risk = _suffix_sum(work)[self.start]
+        w_risk = risk[:, 0].copy()
 
-        xbar = xw_risk / w_risk[:, None]
+        xbar = risk[:, 1:1 + p] / w_risk[:, None]
         ll = float(np.sum(self.event_x_sum @ beta) - np.sum(self.d * np.log(w_risk)))
         score = np.sum(self.event_x_sum - self.d[:, None] * xbar, axis=0)
-        info = np.einsum("j,jkl->kl", self.d.astype(float),
-                         xxw_risk / w_risk[:, None, None]
-                         - xbar[:, :, None] * xbar[:, None, :])
+        # einsum's summation order follows the operand's layout: keep it
+        # C-contiguous
+        centred = np.divide(risk[:, self._pair_column], w_risk[:, None, None],
+                            out=np.empty((len(w_risk), p, p)))
+        centred -= xbar[:, :, None] * xbar[:, None, :]
+        info = np.einsum("j,jkl->kl", self.d.astype(float), centred)
         return ll, score, info
 
     def baseline_increments(self, beta):
         """Breslow increments d_j / sum_{risk} exp(x beta) at each event time."""
-        w = np.exp(self.x @ beta)
-        w_risk = _suffix_sum(w)[self.start]
+        w_risk = _suffix_sum(np.exp(self.x @ beta))[self.start]
         return self.d / w_risk, w_risk
 
 
-class _ArmRiskSets(_RiskSets):
+class _ArmRiskSets:
     """Risk sets of a stack of samples whose one covariate is the 0/1 arm.
 
     The risk-set sum of exp(beta * arm) at an event time is n0 + exp(beta) n1
     over the exact integer counts at risk in each arm, so one evaluation of
-    the partial likelihood costs one pass over the event times. The counts
-    are padded to one row of g event times per sample; a pad has no deaths
-    and adds exact zeros.
+    the partial likelihood costs one pass over the rows. The counts are dense
+    (m, n) arrays over each sample's sorted rows: an event row holds the
+    counts of its tie group and one death, any other row no death, so it
+    adds exact zeros.
     """
 
-    _NDIM = 2
-    _SORT_KIND = "quicksort"  # no count here depends on the order of ties
-
     def __init__(self, time, event, arm):
-        super().__init__(time, event)
-        arm = np.take_along_axis(np.broadcast_to(arm, self.order.shape) == 1,
-                                 self.order, axis=-1)
-        self.m = arm.shape[0]
-        self.event_arm_sum = (self.event & arm).sum(axis=1)
-        at_risk_1 = np.cumsum(arm[:, ::-1], axis=1)[:, ::-1].ravel()[self.start]
-        groups = np.bincount(self.row, minlength=self.m)
-        g = groups.max()
-        # flat position of each event time in its sample's padded row
-        pad = np.arange(self.row.size) + np.repeat(
-            np.arange(self.m) * g - np.cumsum(groups) + groups, groups)
-        self.n0 = np.ones((self.m, g))
-        self.n1, self.deaths = np.zeros((2, self.m, g))
-        self.n0.ravel()[pad] = self.n_risk - at_risk_1
-        self.n1.ravel()[pad] = at_risk_1
-        self.deaths.ravel()[pad] = self.d
+        time = np.asarray(time, dtype=float)
+        if not np.all(time > 0.0):
+            raise ValueError("all observation times must be > 0")
+        self.m, n = time.shape
+        # flat position of each sample's sorted rows; no count depends on the
+        # order of ties, so any sort will do
+        order = np.argsort(time, axis=1, kind="quicksort")
+        order += np.arange(0, self.m * n, n)[:, None]
+        time = np.take(time, order)
+        # 2 * event + arm, one byte per row
+        code = 2 * np.asarray(event, dtype=bool).view(np.int8) + (np.asarray(arm) == 1)
+        code = np.take(code, order)
+        arm_1 = code & 1
+        self.deaths = (code >> 1).astype(float)
+        self.event_arm_sum = (code == 3).sum(axis=1)
+        # arm-1 rows sorted before each row, and rows from it on
+        before_1 = np.cumsum(arm_1, axis=1, dtype=np.int32)
+        total_1 = before_1[:, -1:].copy()
+        before_1 -= arm_1
+        at_risk = n - np.arange(n)
+        if ((time[:, 1:] == time[:, :-1]) & (code[:, 1:] >= 2)).any():
+            # an event row that ties with the row before it takes the counts
+            # of the first row of its tie group
+            head = np.ones(time.shape, dtype=bool)
+            head[:, 1:] = time[:, 1:] != time[:, :-1]
+            first = np.maximum.accumulate(np.where(head, np.arange(n), 0), axis=1)
+            before_1 = np.take_along_axis(before_1, first, axis=1)
+            at_risk = n - first
+        self.n1 = (total_1 - before_1).astype(float)
+        self.n0 = at_risk - self.n1
+        self._work = np.empty((2, self.m, n))
 
     def loglik_score_info(self, beta):
         """Breslow partial log likelihood, score and information of every
         sample at the (m, 1) coefficients `beta`."""
-        e_n1 = np.exp(beta) * self.n1
-        w_risk = self.n0 + e_n1
-        xbar = e_n1 / w_risk
-        ll = beta[:, 0] * self.event_arm_sum \
-            - np.einsum("ij,ij->i", self.deaths, np.log(w_risk))
+        e_n1, w_risk = self._work
+        np.multiply(np.exp(beta), self.n1, out=e_n1)
+        np.add(self.n0, e_n1, out=w_risk)
+        xbar = np.divide(e_n1, w_risk, out=e_n1)
+        log_w = np.log(w_risk, out=w_risk)
+        ll = beta[:, 0] * self.event_arm_sum - np.einsum("ij,ij->i", self.deaths, log_w)
         d_xbar = np.einsum("ij,ij->i", self.deaths, xbar)
         info = d_xbar - np.einsum("ij,ij,ij->i", self.deaths, xbar, xbar)
         return ll, (self.event_arm_sum - d_xbar)[:, None], info[:, None, None]

@@ -15,6 +15,7 @@ pure function of (seed, individual id, stream), so generation order and
 parallelism cannot change a dataset.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,13 +54,13 @@ class CensoringSpec:
             raise ValueError(f"censoring kind must be one of {CENSORING_KINDS}, got {self.kind!r}")
         needs_admin, needs_rate = _CENSORING_PARAMETERS[self.kind]
         if needs_admin:
-            if self.admin_time is None or not self.admin_time > 0.0:
-                raise ValueError("administrative censoring needs admin_time > 0")
+            if self.admin_time is None or not 0.0 < self.admin_time < math.inf:
+                raise ValueError("administrative censoring needs a finite admin_time > 0")
         elif self.admin_time is not None:
             raise ValueError(f"admin_time is not used with kind={self.kind!r}")
         if needs_rate:
-            if self.rate is None or not self.rate > 0.0:
-                raise ValueError("exponential censoring needs rate > 0")
+            if self.rate is None or not 0.0 < self.rate < math.inf:
+                raise ValueError("exponential censoring needs a finite rate > 0")
         elif self.rate is not None:
             raise ValueError(f"rate is not used with kind={self.kind!r}")
 
@@ -105,11 +106,15 @@ class TrialConfig:
 
 
 def check_covariates(names):
-    """The covariate names as a tuple, each one of COVARIATES."""
+    """The covariate names as a non-empty tuple of distinct COVARIATES."""
     names = tuple(names)
-    for name in names:
+    if not names:
+        raise ValueError(f"no covariates given; choose from {', '.join(COVARIATES)}")
+    for i, name in enumerate(names):
         if name not in COVARIATES:
             raise ValueError(f"unknown covariate {name!r}; choose from {', '.join(COVARIATES)}")
+        if name in names[:i]:
+            raise ValueError(f"covariate {name!r} is repeated")
     return names
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from survmix import MixtureArm, TwoArmTruth
 
@@ -32,3 +33,12 @@ def brute_partial_loglik(beta, time, event, x):
             at_risk = time >= time[i]
             ll += beta * x[i] - np.log(np.sum(np.exp(beta * x[at_risk])))
     return ll
+
+
+@st.composite
+def mixture_arms(draw, max_strata=4):
+    k = draw(st.integers(min_value=1, max_value=max_strata))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    weights = tuple(w / sum(raw) for w in raw)
+    rates = tuple(draw(st.lists(st.floats(0.01, 5.0), min_size=k, max_size=k)))
+    return MixtureArm(weights=weights, rates=rates)

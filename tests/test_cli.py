@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -278,6 +279,65 @@ class TestEstimandsCommand:
         run("simulate", "--out", str(sim))
         assert run("estimands", "--source", str(sim / "dataset.csv"),
                    "--landmark", "1e6") == 1
+
+
+class TestRejectedFlagsAndKeys:
+    """Bad flags and config keys exit 1, name the flag or key and write
+    nothing."""
+
+    @pytest.fixture
+    def dataset(self, tmp_path):
+        path = tmp_path / "small.csv"
+        path.write_text("id,arm,observed_time,event\n"
+                        + "".join(f"{i},{i % 2},{i + 1}.5,1\n" for i in range(8)))
+        return str(path)
+
+    def rejected(self, tmp_path, capsys, *argv):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way out
+            assert run(*argv, "--out", str(out)) == 1
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("covariates, cause", [
+        ("arm,arm", "covariate 'arm' is repeated"),
+        ("arm,stratum,arm", "covariate 'arm' is repeated"),
+        (",", "no covariates given"),
+    ])
+    def test_repeated_or_empty_covariates(self, dataset, tmp_path, capsys,
+                                          covariates, cause):
+        err = self.rejected(tmp_path, capsys, "fit", dataset, "--covariates", covariates)
+        assert f"--covariates: {cause}" in err
+
+    @pytest.mark.parametrize("cutpoints", ["nan", "1e400", "1,inf"])
+    def test_non_finite_cutpoints(self, dataset, tmp_path, capsys, cutpoints):
+        err = self.rejected(tmp_path, capsys, "fit", dataset, "--cutpoints", cutpoints)
+        assert "--cutpoints: cutpoints must be finite" in err
+
+    @pytest.mark.parametrize("spec, key", [("exp:inf", "rate"), ("admin:inf", "admin_time"),
+                                           ("admin:2+exp:nan", "rate")])
+    def test_non_finite_censoring_spec(self, tmp_path, capsys, spec, key):
+        err = self.rejected(tmp_path, capsys, "estimands", "--sensitivity", spec)
+        assert "--sensitivity: " in err and f"needs a finite {key} > 0" in err
+
+    @pytest.mark.parametrize("flag, named", [("--rmst", "rmst horizon"),
+                                             ("--landmark", "landmark time")])
+    def test_non_finite_estimand_flag(self, tmp_path, capsys, flag, named):
+        err = self.rejected(tmp_path, capsys, "estimands", flag, "inf")
+        assert f"{named} must be finite and > 0, got inf" in err
+
+    def test_non_finite_rmst_horizon_key(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(default_config_text().replace("rmst_horizon = 10.0",
+                                                     "rmst_horizon = inf"))
+        err = self.rejected(tmp_path, capsys, "estimands", "--config", str(cfg))
+        assert "estimands.rmst_horizon must be finite and > 0" in err
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON"):
+            cli._write_json(str(tmp_path / "x.json"), {"value": float("nan")})
+        assert os.listdir(tmp_path) == []
 
 
 class TestCliPlumbing:

@@ -107,6 +107,27 @@ def test_bad_covariates_rejected():
         parse_config(MINIMAL + "\n[fit]\ncovariates = arm, age\n")
 
 
+@pytest.mark.parametrize("value, cause", [("arm, arm", "covariate 'arm' is repeated"),
+                                          ("", "no covariates given")])
+def test_repeated_or_empty_covariates_rejected(value, cause):
+    with pytest.raises(ConfigError, match=f"fit.covariates: {cause}"):
+        parse_config(MINIMAL + f"\n[fit]\ncovariates = {value}\n")
+
+
+@pytest.mark.parametrize("section, lines, named", [
+    ("fit", "cutpoints = 1, nan", "fit.cutpoints"),
+    ("fit", "cutpoints = 1e400", "fit.cutpoints"),
+    ("censoring", "kind = exponential\nrate = inf", r"\[censoring\]"),
+    ("censoring", "kind = administrative\nadmin_time = inf", r"\[censoring\]"),
+    ("estimands", "rmst_horizon = inf", "estimands.rmst_horizon"),
+    ("estimands", "landmark = nan", "estimands.landmark"),
+    ("estimands", "ratio_time = inf", "estimands.ratio_time"),
+])
+def test_non_finite_values_rejected(section, lines, named):
+    with pytest.raises(ConfigError, match=f"{named}.* finite"):
+        parse_config(MINIMAL + f"\n[{section}]\n{lines}\n")
+
+
 def test_parse_error_carries_origin():
     with pytest.raises(ConfigError, match="myrun.cfg"):
         parse_config("not an ini file", origin="myrun.cfg")

@@ -1,13 +1,18 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survmix import (CensoringSpec, EstimatedCurves, MixtureArm, TrialConfig,
                      TwoArmTruth, censoring_sensitivity, cox_fit_dataset,
                      cumulative_hazard, estimands, landmark_contrast,
                      log_survival_ratio, marginal_survival, rmst, simulate)
 from survmix.rng import derive_seed
+
+from conftest import mixture_arms
 
 # frozen from a 50-digit evaluation of the closed forms (two_point_truth)
 LANDMARK_DIFF_AT_1 = 0.10933106491176293
@@ -59,8 +64,9 @@ class TestLandmarkContrast:
             landmark_contrast(source, 4.5)
 
     def test_rejects_nonpositive_landmark(self, two_point_truth):
-        with pytest.raises(ValueError, match="> 0"):
-            landmark_contrast(two_point_truth, 0.0)
+        for t_star in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="> 0"):
+                landmark_contrast(two_point_truth, t_star)
 
     def test_rejects_unknown_kind(self, two_point_truth):
         with pytest.raises(ValueError, match="kind"):
@@ -113,9 +119,24 @@ class TestRmst:
         report = rmst(two_point_truth, "control", 30.0)
         assert 0.0 < report.value <= 30.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(arm=mixture_arms(), horizon=st.floats(0.1, 50.0))
+    def test_closed_form_between_step_sums(self, arm, horizon):
+        # S is non-increasing, so its integral over each grid step lies
+        # between the step's width times S at either end
+        value = rmst(TwoArmTruth(control=arm, research=arm), "control", horizon).value
+        t = np.linspace(0.0, horizon, 2001)
+        width = np.diff(t)  # exact: neighbouring grid points
+        s = marginal_survival(arm, t)
+        lower, upper = math.fsum(width * s[1:]), math.fsum(width * s[:-1])
+        slack = 1e-12 * horizon
+        assert lower - slack <= value <= upper + slack
+        assert upper - lower <= 1.001 * horizon / 2000
+
     def test_bad_arguments(self, two_point_truth):
-        with pytest.raises(ValueError, match="> 0"):
-            rmst(two_point_truth, "control", 0.0)
+        for horizon in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="> 0"):
+                rmst(two_point_truth, "control", horizon)
         with pytest.raises(ValueError, match="arm"):
             rmst(two_point_truth, "treatment", 1.0)
 
@@ -149,8 +170,9 @@ class TestLogSurvivalRatio:
             assert 0.5 - 1e-12 <= value < 1.0
 
     def test_undefined_at_zero_or_degenerate(self, two_point_truth):
-        with pytest.raises(ValueError, match="> 0"):
-            log_survival_ratio(two_point_truth, 0.0)
+        for t in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="> 0"):
+                log_survival_ratio(two_point_truth, t)
         # a subnormal survival has lost the digits log S needs; 0 has none
         for t, s0 in ((7400.0, "2.07508e-322"), (8000.0, "0")):
             with pytest.raises(ValueError, match=f"control survival is {s0}$"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from survmix import (CoxFit, MixtureArm, TrialConfig, TwoArmTruth,
                      breslow_baseline, cox_fit, cox_fit_dataset, fit_report,
@@ -14,6 +16,72 @@ from conftest import brute_partial_loglik
 TIME6 = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 EVENT6 = np.array([1, 1, 0, 1, 0, 1], dtype=bool)
 X6 = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0])
+
+
+def reference_suffix_sum(a):
+    """sum a[i:] for every i by recursive doubling, on a copy of `a`."""
+    out = np.array(a, dtype=float, copy=True)
+    n = out.shape[0]
+    shift = 1
+    while shift < n:
+        out[: n - shift] += out[shift:]
+        shift *= 2
+    return out
+
+
+def reference_loglik_score_info(data, beta):
+    """The Cox evaluation with one suffix sum per term over the full (n, p, p)
+    products: the bitwise reference of _CoxData.loglik_score_info."""
+    w = np.exp(data.x @ beta)
+    xw = data.x * w[:, None]
+    xxw = xw[:, :, None] * data.x[:, None, :]
+    w_risk = reference_suffix_sum(w)[data.start]
+    xw_risk = reference_suffix_sum(xw)[data.start]
+    xxw_risk = reference_suffix_sum(xxw)[data.start]
+    xbar = xw_risk / w_risk[:, None]
+    ll = float(np.sum(data.event_x_sum @ beta) - np.sum(data.d * np.log(w_risk)))
+    score = np.sum(data.event_x_sum - data.d[:, None] * xbar, axis=0)
+    info = np.einsum("j,jkl->kl", data.d.astype(float),
+                     xxw_risk / w_risk[:, None, None]
+                     - xbar[:, :, None] * xbar[:, None, :])
+    return ll, score, info
+
+
+def same_bits(a, b):
+    """Equal bytes, except that any nan matches any nan."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes())
+
+
+# covariate columns of every kind the evaluator treats apart: only exact
+# 0/1 columns share buffer columns
+COLUMN_VALUES = {
+    "binary": st.sampled_from([0.0, 1.0]),
+    "small_integer": st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    "negative": st.sampled_from([-2.0, -1.0, 0.0, 1.0]),
+    "negative_zero": st.sampled_from([-0.0, 0.0, 1.0]),
+    "continuous": st.floats(-3.0, 3.0),
+}
+# with |x| <= 3 these overflow exp(x beta) to inf or underflow it to 0
+COEFFICIENTS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-800.0, 300.0, 800.0]))
+
+
+@st.composite
+def cox_problems(draw):
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 3))
+    time = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.5, 7.0]), min_size=n,
+                         max_size=n))
+    event = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_VALUES)), min_size=p,
+                          max_size=p))
+    x = np.column_stack([draw(st.lists(COLUMN_VALUES[kind], min_size=n, max_size=n))
+                         for kind in kinds])
+    betas = [np.array(draw(st.lists(COEFFICIENTS, min_size=p, max_size=p)))
+             for _ in range(2)]
+    return time, event, x, betas
 
 
 def expected_period_loghr(truth, a, b, panels=100_000):
@@ -217,24 +285,54 @@ class TestStackedNewton:
 
     def test_arm_stack_matches_cox_fit(self):
         rng = np.random.default_rng(3)
-        time = np.round(rng.exponential(size=(8, 25)), 1) + 0.1  # many ties
-        event = rng.random((8, 25)) < 0.6
-        arm = rng.integers(0, 2, (8, 25))
+        time = np.round(rng.exponential(size=(10, 25)), 1) + 0.1  # many ties
+        event = rng.random((10, 25)) < 0.6
+        arm = rng.integers(0, 2, (10, 25))
         event[0] = False                    # no events
         event[1] &= arm[1] == 0             # events in one arm only
         arm[2] = (time[2] > np.median(time[2])).astype(int)  # separated
         event[2] = True
+        time[8] = rng.integers(1, 4, 25)    # three times: tied events
+        event[8] = True
+        # events tied with censored rows that come first in input order
+        time[9] = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0], 5)
+        event[9] = np.tile([False, True, False, True, True], 5)
+        # then every sample again with its rows shuffled
+        shuffle = np.argsort(rng.random(time.shape), axis=1)
+        time, event, arm = (np.concatenate([a, np.take_along_axis(a, shuffle, axis=1)])
+                            for a in (time, event, arm))
         log_hr = cox_log_hr_stack(time, event, arm)
         for r in range(len(time)):
             try:
                 fit = cox_fit(time[r], event[r], arm[r])
             except ValueError:
-                assert np.isnan(log_hr[r]) and r < 2
+                assert np.isnan(log_hr[r]) and r % 10 < 2
                 continue
             if fit.converged:
                 assert log_hr[r] == pytest.approx(fit.log_hr, abs=1e-12)
             else:
-                assert np.isnan(log_hr[r]) and r == 2
+                assert np.isnan(log_hr[r]) and r % 10 == 2
+        assert np.isfinite(log_hr[[8, 9, 18, 19]]).all()
+
+
+class TestWorkBuffer:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=cox_problems())
+    def test_bitwise_equal_to_suffix_sum_reference(self, problem):
+        time, event, x, betas = problem
+        try:
+            data = _CoxData(time, event, x)
+        except ValueError:
+            assume(False)  # no events, or a covariate constant among them
+        with np.errstate(all="ignore"):
+            first = data.loglik_score_info(betas[0])
+            kept = [np.array(a, copy=True) for a in first]
+            for beta, got in ((betas[0], first),
+                              (betas[1], data.loglik_score_info(betas[1]))):
+                for a, b in zip(got, reference_loglik_score_info(data, beta)):
+                    assert same_bits(a, b)
+        # the second call reuses the buffer; the first results stay put
+        assert all(same_bits(a, b) for a, b in zip(first, kept))
 
 
 class TestPeriodSpecificCox:
@@ -289,6 +387,9 @@ class TestPeriodSpecificCox:
             period_specific_cox(TIME6, EVENT6, X6, (4.0, 2.0))
         with pytest.raises(ValueError, match="increasing"):
             period_specific_cox(TIME6, EVENT6, X6, ())
+        for cutpoints in ((float("nan"),), (1.0, float("inf"))):
+            with pytest.raises(ValueError, match="finite"):
+                period_specific_cox(TIME6, EVENT6, X6, cutpoints)
 
 
 class TestBreslowBaseline:

@@ -16,6 +16,8 @@ from survmix import (CurveTable, MixtureArm, TwoArmTruth, cumulative_hazard,
                      survivor_composition, truth_curves)
 from survmix.frailty import _BLOCK, _mixture, _strata_sum
 
+from conftest import mixture_arms
+
 # frozen from a 50-digit evaluation of the closed forms for the
 # two_point_truth fixture (weights .5/.5, control rates .1/.5,
 # research rates .05/.25)
@@ -25,15 +27,6 @@ F_CONTROL_AT_1 = 0.19687453582995634
 CUMHAZ_CONTROL_AT_1 = 0.28013192815999266
 HR_AT_1 = 0.5375040205812843
 TINY = np.finfo(float).tiny  # smallest normal float
-
-
-@st.composite
-def mixture_arms(draw, max_strata=4):
-    k = draw(st.integers(min_value=1, max_value=max_strata))
-    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
-    weights = tuple(w / sum(raw) for w in raw)
-    rates = tuple(draw(st.lists(st.floats(0.01, 5.0), min_size=k, max_size=k)))
-    return MixtureArm(weights=weights, rates=rates)
 
 
 class TestMixtureArmValidation:

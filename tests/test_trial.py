@@ -26,6 +26,11 @@ class TestCensoringSpecValidation:
             CensoringSpec("administrative")
         with pytest.raises(ValueError, match="rate"):
             CensoringSpec("exponential", rate=-1.0)
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite admin_time"):
+                CensoringSpec("both", admin_time=value, rate=0.1)
+            with pytest.raises(ValueError, match="finite rate"):
+                CensoringSpec("both", admin_time=2.0, rate=value)
 
     def test_extraneous_parameters_rejected(self):
         with pytest.raises(ValueError):
