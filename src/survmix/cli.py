@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import default_config, load_config
+from .config import _checked, default_config, load_config
 from .estimands import (EstimatedCurves, censoring_sensitivity, landmark_contrast,
                         log_survival_ratio, rmst)
 from .estimators import check_cutpoints, cox_fit, fit_report, period_specific_cox
@@ -329,24 +329,15 @@ def cmd_simulate(args):
     return 0
 
 
-def _checked_flag(flag, check, value):
-    """check(value), its ValueError re-raised as an InputError naming `flag`."""
-    try:
-        return check(value)
-    except ValueError as err:
-        raise InputError(f"{flag}: {err}") from None
-
-
 def cmd_fit(args):
     cfg = _load_run_config(args)
     if args.covariates is not None:
-        covariates = _checked_flag("--covariates", check_covariates,
-                                   args.covariates.replace(",", " ").split())
+        covariates = _checked("--covariates:", check_covariates,
+                              args.covariates.replace(",", " ").split())
     else:
         covariates = cfg.covariates
     if args.cutpoints is not None:
-        cutpoints = _checked_flag("--cutpoints", check_cutpoints,
-                                  args.cutpoints.split(","))
+        cutpoints = _checked("--cutpoints:", check_cutpoints, args.cutpoints.split(","))
     else:
         cutpoints = cfg.cutpoints
     columns = read_dataset_csv(args.dataset)
@@ -388,7 +379,7 @@ def cmd_fit(args):
 def cmd_estimands(args):
     cfg = _load_run_config(args)
     if args.sensitivity:
-        specs = _checked_flag("--sensitivity", parse_censoring_list, args.sensitivity)
+        specs = _checked("--sensitivity:", parse_censoring_list, args.sensitivity)
 
     if args.source == "truth":
         source = cfg.truth

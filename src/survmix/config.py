@@ -8,10 +8,10 @@ research rates 0.05/0.25, 500 per arm).
 """
 
 import configparser
-import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .estimands import _check_time
 from .estimators import check_cutpoints
 from .frailty import MixtureArm, TwoArmTruth, default_grid
 from .trial import CensoringSpec, TrialConfig, check_covariates
@@ -148,8 +148,7 @@ def _run_config(parser):
     replicates = _get(parser, "estimands", "sensitivity_replicates", int, 200, "integer")
     for field, value in (("landmark", landmark), ("rmst_horizon", rmst_horizon),
                          ("ratio_time", ratio_time)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"estimands.{field} must be finite and > 0")
+        _checked(f"estimands.{field}:", _check_time, value, field)
     if replicates < 2:
         raise ConfigError("estimands.sensitivity_replicates must be >= 2")
 

@@ -196,9 +196,11 @@ class _CoxData(_RiskSets):
         self.event_x_sum = np.add.reduceat(ex, self.start, axis=0)
         self.n_events = int(self.d.sum())
         # buffer column of each x_k x_l w, computed as (x_k w) x_l. Where x_k
-        # is 0/1 that is x_k w itself, and where x_k or x_l is 0/1 the
+        # is 0/1 that is x_k w itself, and where x_k and x_l are both 0/1 the
         # products (x_k w) x_l and (x_l w) x_k are bitwise equal, so one
-        # column serves both
+        # column serves both. With only one of them 0/1 the orders can differ:
+        # x_k = 0 and x_l w overflowing give 0 one way and inf * 0 = nan the
+        # other
         binary = [_is_binary(self.x[:, j]) for j in range(self.p)]
         self._pair_column = np.empty((self.p, self.p), dtype=np.intp)
         self._products = []
@@ -206,7 +208,7 @@ class _CoxData(_RiskSets):
             for l in range(self.p):
                 if k == l and binary[k]:
                     self._pair_column[k, l] = 1 + k
-                elif l < k and (binary[k] or binary[l]):
+                elif l < k and binary[k] and binary[l]:
                     self._pair_column[k, l] = self._pair_column[l, k]
                 else:
                     self._pair_column[k, l] = 1 + self.p + len(self._products)
@@ -276,9 +278,10 @@ class _ArmRiskSets:
         total_1 = before_1[:, -1:].copy()
         before_1 -= arm_1
         at_risk = n - np.arange(n)
+        # an event row that ties with the row before it takes the counts of
+        # the first row of its tie group. Continuous times have no such row,
+        # and the test costs a tenth of the tie-head pass it skips
         if ((time[:, 1:] == time[:, :-1]) & (code[:, 1:] >= 2)).any():
-            # an event row that ties with the row before it takes the counts
-            # of the first row of its tie group
             head = np.ones(time.shape, dtype=bool)
             head[:, 1:] = time[:, 1:] != time[:, :-1]
             first = np.maximum.accumulate(np.where(head, np.arange(n), 0), axis=1)

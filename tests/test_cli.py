@@ -332,7 +332,7 @@ class TestRejectedFlagsAndKeys:
         cfg.write_text(default_config_text().replace("rmst_horizon = 10.0",
                                                      "rmst_horizon = inf"))
         err = self.rejected(tmp_path, capsys, "estimands", "--config", str(cfg))
-        assert "estimands.rmst_horizon must be finite and > 0" in err
+        assert "estimands.rmst_horizon: rmst_horizon must be finite and > 0" in err
 
     def test_json_writer_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError, match="JSON"):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from survmix import (CoxFit, MixtureArm, TrialConfig, TwoArmTruth,
@@ -315,9 +315,21 @@ class TestStackedNewton:
         assert np.isfinite(log_hr[[8, 9, 18, 19]]).all()
 
 
+# a 0/1 column with a 0 row next to a column whose x w overflows there while
+# w stays finite: (0 w) x_l = 0 but (x_l w) 0 = inf * 0 = nan, so the two
+# orders of a pair with only one 0/1 column differ
+OVERFLOW_TIME = [1.0, 2.0, 3.0, 4.0]
+OVERFLOW_EVENT = [True, True, True, True]
+OVERFLOW_X = np.array([[0.0, 2.3635], [1.0, 0.5], [0.0, 1.0], [1.0, -1.0]])
+OVERFLOW_BETAS = [np.array([0.0, 300.0]), np.array([0.1, 0.2])]
+
+
 class TestWorkBuffer:
     @settings(max_examples=200, deadline=None)
     @given(problem=cox_problems())
+    @example(problem=(OVERFLOW_TIME, OVERFLOW_EVENT, OVERFLOW_X, OVERFLOW_BETAS))
+    @example(problem=(OVERFLOW_TIME, OVERFLOW_EVENT, OVERFLOW_X[:, ::-1],
+                      [b[::-1] for b in OVERFLOW_BETAS]))
     def test_bitwise_equal_to_suffix_sum_reference(self, problem):
         time, event, x, betas = problem
         try:
