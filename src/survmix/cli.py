@@ -16,7 +16,7 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -134,7 +134,14 @@ def read_dataset_csv(path):
         raise InputError(f"cannot read dataset {path}: {err}") from None
     columns = _parse_plain(path, data)
     if columns is None:
-        columns = _parse_rows(path, data.decode("utf-8").splitlines())
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            # the row of the first bad byte, counted as _parse_rows counts lines
+            row = len((data[:err.start].decode("utf-8") + "x").splitlines())
+            raise InputError(f"{path} row {row}: not UTF-8 text "
+                             f"(byte 0x{data[err.start]:02x})") from None
+        columns = _parse_rows(path, text.splitlines())
     return _check_columns(path, columns)
 
 
@@ -210,12 +217,8 @@ def _parse_rows(path, lines):
 
 def _check_columns(path, out):
     """The value checks on parsed columns; `event` comes back as bool."""
-    if not np.isin(out["event"], (0, 1)).all():
-        raise InputError(f"{path}: event column must be 0 or 1")
+    _check_values(path, out, ("event", "arm", "observed_time"))
     out["event"] = out["event"].astype(bool)
-    if not np.isin(out["arm"], (0, 1)).all():
-        raise InputError(f"{path}: arm column must be 0 or 1")
-    _check_values(path, out, ("observed_time",))
     # a stable sort puts each id's first row first; the rows after it repeat it
     ids = out["id"]
     order = np.argsort(ids, kind="stable")
@@ -232,8 +235,14 @@ def _bad_time(values):
     return ~np.isfinite(values) | (values <= 0.0)
 
 
+def _not_binary(values):
+    return (values != 0) & (values != 1)
+
+
 # column -> (the rule its values must meet, the mask of values that break it)
 _VALUE_RULES = {
+    "arm": ("0 or 1", _not_binary),
+    "event": ("0 or 1", _not_binary),
     "observed_time": ("finite and > 0", _bad_time),
     "potential_time_0": ("finite and > 0", _bad_time),
     "potential_time_1": ("finite and > 0", _bad_time),
@@ -256,16 +265,6 @@ def _write_json(path, payload):
     # a nan or inf is a bug upstream, never valid JSON in an output file
     _atomic_write(path, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
     return path
-
-
-def _report_payload(report):
-    return {
-        "name": report.name,
-        "source": report.source,
-        "horizon": report.horizon,
-        "value": report.value,
-        "per_arm": report.per_arm,
-    }
 
 
 def parse_censoring_list(raw):
@@ -404,7 +403,7 @@ def cmd_estimands(args):
     ]
     out_dir = _ensure_out_dir(args, cfg)
     path = _write_json(os.path.join(out_dir, ESTIMANDS_FILE),
-                       [_report_payload(r) for r in reports])
+                       [asdict(r) for r in reports])
     written = [path]
 
     if args.sensitivity:

@@ -320,14 +320,14 @@ def _newton_steps(info, score, rows):
     return delta, singular
 
 
-def _newton(evaluate, m, p, max_iterations, score_tol):
+def _newton(evaluate, m, p):
     """Safeguarded Newton-Raphson on m independent log likelihoods at once.
 
     evaluate(beta) returns the log likelihood (m,), score (m, p) and
     information (m, p, p) at the (m, p) coefficients `beta`. Every row starts
     at 0 and moves on its own: a step is halved while it would decrease the
-    row's log likelihood, and the row stops once max|score| < score_tol, at
-    max_iterations, at a singular information, when |beta| passes
+    row's log likelihood, and the row stops once max|score| < SCORE_TOL, at
+    MAX_ITERATIONS, at a singular information, when |beta| passes
     DIVERGENCE_BOUND or when it stalls. Returns beta, ll, score, info,
     iterations and converged, one entry per row.
     """
@@ -337,8 +337,8 @@ def _newton(evaluate, m, p, max_iterations, score_tol):
     diverged = np.zeros(m, dtype=bool)
     stopped = np.zeros(m, dtype=bool)
     while True:
-        active = ~stopped & (iterations < max_iterations) \
-            & (np.max(np.abs(score), axis=1) >= score_tol)
+        active = ~stopped & (iterations < MAX_ITERATIONS) \
+            & (np.max(np.abs(score), axis=1) >= SCORE_TOL)
         if not active.any():
             break
         iterations += active
@@ -367,18 +367,17 @@ def _newton(evaluate, m, p, max_iterations, score_tol):
         diverged |= active & (size > DIVERGENCE_BOUND)
         # stalled at numerical precision; the score decides
         stopped |= active & ((size > DIVERGENCE_BOUND) | (moved < 1e-14 * (1.0 + size)))
-    converged = ~diverged & (np.max(np.abs(score), axis=1) < score_tol)
+    converged = ~diverged & (np.max(np.abs(score), axis=1) < SCORE_TOL)
     return beta, ll, score, info, iterations, converged
 
 
-def cox_fit(time, event, x, names=None, max_iterations=MAX_ITERATIONS,
-            score_tol=SCORE_TOL):
+def cox_fit(time, event, x, names=None):
     """Maximise the Cox partial likelihood (Breslow ties) by Newton-Raphson.
 
     Starts at beta = 0; a step is halved while it would decrease the log
-    partial likelihood. Convergence means max|score| < score_tol. A
-    trajectory escaping |beta| > 15 is flagged converged=False (monotone
-    likelihood / separation), never raised.
+    partial likelihood. Convergence means max|score| < SCORE_TOL. A
+    trajectory escaping |beta| > DIVERGENCE_BOUND is flagged converged=False
+    (monotone likelihood / separation), never raised.
     """
     data = _CoxData(time, event, x)
     if names is None:
@@ -391,8 +390,7 @@ def cox_fit(time, event, x, names=None, max_iterations=MAX_ITERATIONS,
         ll, score, info = data.loglik_score_info(beta[0])
         return np.array([ll]), score[None], info[None]
 
-    beta, ll, score, info, iterations, converged = _newton(
-        evaluate, 1, data.p, max_iterations, score_tol)
+    beta, ll, score, info, iterations, converged = _newton(evaluate, 1, data.p)
     info = info[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
@@ -423,8 +421,7 @@ def cox_log_hr_stack(time, event, arm):
     log_hr = np.full(time.shape[0], np.nan)
     if fitted.any():
         data = _ArmRiskSets(time[fitted], event[fitted], arm[fitted])
-        beta, _, _, _, _, converged = _newton(
-            data.loglik_score_info, data.m, 1, MAX_ITERATIONS, SCORE_TOL)
+        beta, _, _, _, _, converged = _newton(data.loglik_score_info, data.m, 1)
         log_hr[np.flatnonzero(fitted)[converged]] = beta[converged, 0]
     return log_hr
 
@@ -446,8 +443,6 @@ def period_specific_cox(time, event, x, cutpoints, names=None):
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     cutpoints = check_cutpoints(cutpoints)
 
     fits, n_events, n_entered = [], [], []

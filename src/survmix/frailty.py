@@ -23,6 +23,7 @@ them left to right, in the same order at any block width, so a time gets the
 same bits on any grid, in any block and as a scalar.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,12 @@ class MixtureArm:
         object.__setattr__(self, "rates", rates)
         if len(weights) < 1 or len(weights) != len(rates):
             raise ValueError("weights and rates must be equal-length, K >= 1")
-        if any(w <= 0.0 for w in weights):
-            raise ValueError(f"all weights must be > 0, got {weights}")
+        if not all(0.0 < w < math.inf for w in weights):
+            raise ValueError(f"all weights must be finite and > 0, got {weights}")
         if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got sum {sum(weights)!r}")
-        if any(r <= 0.0 for r in rates):
-            raise ValueError(f"all rates must be > 0, got {rates}")
+        if not all(0.0 < r < math.inf for r in rates):
+            raise ValueError(f"all rates must be finite and > 0, got {rates}")
 
     @property
     def n_strata(self):
@@ -68,12 +69,12 @@ class TwoArmTruth:
 
 
 def check_grid(grid):
-    """A time grid as a float array: non-empty, 1-d, >= 0, strictly increasing."""
+    """A time grid as a float array: non-empty, 1-d, finite, >= 0, strictly increasing."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d time sequence")
-    if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing and >= 0")
+    if not (np.all(np.isfinite(grid)) and grid[0] >= 0.0 and np.all(np.diff(grid) > 0.0)):
+        raise ValueError("grid must be finite, strictly increasing and >= 0")
     return grid
 
 
@@ -278,4 +279,7 @@ def truth_curves(truth, grid):
 
 def default_grid(t_min=0.0, t_max=30.0, points=601):
     """Figure grid: 601 equally spaced points on [0, 30] unless overridden."""
-    return check_grid(np.linspace(float(t_min), float(t_max), int(points)))
+    t_min, t_max = float(t_min), float(t_max)
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ValueError(f"grid min and max must be finite, got {t_min:g} and {t_max:g}")
+    return check_grid(np.linspace(t_min, t_max, int(points)))

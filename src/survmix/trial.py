@@ -106,7 +106,7 @@ class TrialConfig:
 
 
 def check_covariates(names):
-    """The covariate names as a non-empty tuple of distinct COVARIATES."""
+    """The covariate names as a tuple of distinct COVARIATES, 'arm' among them."""
     names = tuple(names)
     if not names:
         raise ValueError(f"no covariates given; choose from {', '.join(COVARIATES)}")
@@ -115,6 +115,8 @@ def check_covariates(names):
             raise ValueError(f"unknown covariate {name!r}; choose from {', '.join(COVARIATES)}")
         if name in names[:i]:
             raise ValueError(f"covariate {name!r} is repeated")
+    if "arm" not in names:
+        raise ValueError(f"covariates {', '.join(names)} lack 'arm', the treatment")
     return names
 
 
@@ -241,12 +243,10 @@ def simulate(config):
     ids 0 .. 2n-1, arm 0 (control) first.
     """
     ids, arm, stratum, t0, t1 = _potential_times(config, config.seed)
-    uncensored = Dataset(ids, arm, stratum, t0, t1,
-                         np.where(arm == 0, t0, t1), np.ones(ids.size, dtype=bool),
-                         config)
-    if config.censoring.kind == "none":
-        return uncensored
-    return apply_censoring(uncensored, config.censoring, config.seed)
+    spec = config.censoring
+    draws = _censoring_draws(config.seed, ids) if spec.rate is not None else None
+    observed, event = _censor(np.where(arm == 0, t0, t1), spec, draws)
+    return Dataset(ids, arm, stratum, t0, t1, observed, event, config)
 
 
 def censored_replicates(config, seeds, specs):

@@ -211,13 +211,20 @@ class TestFitCommand:
                  (latent, 3, "1,1,1,-inf,3.5,2.5,0"),
                  (latent, 10, "8,0,2,0,10.5,9.5,1"),
                  (latent, 12, "10,0,1,11.5,-1e-3,11.5,1"),
-                 (latent, 6, "4,0,-1,5.5,6.5,5.5,1")]  # strata are >= 0
+                 (latent, 6, "4,0,-1,5.5,6.5,5.5,1"),  # strata are >= 0
+                 (plain, 5, "3,2,4.5,1"),         # arm and event are 0 or 1
+                 (plain, 10, "8,1,9.5,2"),
+                 (plain, 13, "11,0,12.5,-1"),
+                 (latent, 9, "7,-1,1,8.5,9.5,8.5,1"),
+                 (plain, 6, "4,0,5.5\udcff,1"),   # a byte that is not UTF-8
+                 (latent, 2, "0,0,0,1.5,\udcff2.5,1.5,1")]
         for (header, good), row, bad_line in cases:
             lines = good[:row - 2] + [bad_line] + good[row - 1:]
-            path.write_text(header + "\n" + "\n".join(lines) + "\n")
+            text = header + "\n" + "\n".join(lines) + "\n"
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
             for command in (("fit", str(path)), ("estimands", "--source", str(path))):
                 assert run(*command, "--out", str(tmp_path / "out")) == 1
-                assert f"row {row}:" in capsys.readouterr().err
+                assert f"{path} row {row}:" in capsys.readouterr().err
         # a repeated column is a header fault: the message names the column
         for header, repeated, line in (("id,arm,observed_time,event,event", "event",
                                         "{i},{arm},{i}.5,1,1"),
@@ -304,6 +311,7 @@ class TestRejectedFlagsAndKeys:
         ("arm,arm", "covariate 'arm' is repeated"),
         ("arm,stratum,arm", "covariate 'arm' is repeated"),
         (",", "no covariates given"),
+        ("stratum", "covariates stratum lack 'arm'"),
     ])
     def test_repeated_or_empty_covariates(self, dataset, tmp_path, capsys,
                                           covariates, cause):
@@ -333,6 +341,25 @@ class TestRejectedFlagsAndKeys:
                                                      "rmst_horizon = inf"))
         err = self.rejected(tmp_path, capsys, "estimands", "--config", str(cfg))
         assert "estimands.rmst_horizon: rmst_horizon must be finite and > 0" in err
+
+    @pytest.mark.parametrize("command, old, new, cause", [
+        ("fit", "covariates = arm", "covariates = stratum",
+         "fit.covariates: covariates stratum lack 'arm'"),
+        ("simulate", "rates = 0.1, 0.5", "rates = nan, 0.5",
+         "[truth.control] all rates must be finite and > 0"),
+        ("simulate", "rates = 0.1, 0.5", "rates = inf, 0.5",
+         "[truth.control] all rates must be finite and > 0"),
+        ("simulate", "weights = 0.5, 0.5", "weights = nan, 0.5",
+         "[truth.control] all weights must be finite and > 0"),
+        ("truth", "max = 30.0", "max = nan", "[grid] grid min and max must be finite"),
+        ("truth", "max = 30.0", "max = inf", "[grid] grid min and max must be finite"),
+    ])
+    def test_bad_config_key(self, dataset, tmp_path, capsys, command, old, new, cause):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(default_config_text().replace(old, new, 1))
+        argv = (command, dataset) if command == "fit" else (command,)
+        err = self.rejected(tmp_path, capsys, *argv, "--config", str(cfg))
+        assert cause in err
 
     def test_json_writer_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError, match="JSON"):

@@ -108,7 +108,8 @@ def test_bad_covariates_rejected():
 
 
 @pytest.mark.parametrize("value, cause", [("arm, arm", "covariate 'arm' is repeated"),
-                                          ("", "no covariates given")])
+                                          ("", "no covariates given"),
+                                          ("stratum", "covariates stratum lack 'arm'")])
 def test_repeated_or_empty_covariates_rejected(value, cause):
     with pytest.raises(ConfigError, match=f"fit.covariates: {cause}"):
         parse_config(MINIMAL + f"\n[fit]\ncovariates = {value}\n")
@@ -122,10 +123,22 @@ def test_repeated_or_empty_covariates_rejected(value, cause):
     ("estimands", "rmst_horizon = inf", "estimands.rmst_horizon"),
     ("estimands", "landmark = nan", "estimands.landmark"),
     ("estimands", "ratio_time = inf", "estimands.ratio_time"),
+    ("grid", "max = nan", r"\[grid\]"),
+    ("grid", "max = inf", r"\[grid\]"),
+    ("grid", "min = nan", r"\[grid\]"),
 ])
 def test_non_finite_values_rejected(section, lines, named):
     with pytest.raises(ConfigError, match=f"{named}.* finite"):
         parse_config(MINIMAL + f"\n[{section}]\n{lines}\n")
+
+
+@pytest.mark.parametrize("old, new", [("rates = 0.1, 0.5", "rates = nan, 0.5"),
+                                      ("rates = 0.1, 0.5", "rates = inf, 0.5"),
+                                      ("weights = 0.5, 0.5", "weights = nan, 0.5")])
+def test_non_finite_mixture_rejected(old, new):
+    key = old.partition(" ")[0]
+    with pytest.raises(ConfigError, match=rf"\[truth.control\] all {key} must be finite"):
+        parse_config(MINIMAL.replace(old, new, 1))
 
 
 def test_parse_error_carries_origin():

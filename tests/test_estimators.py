@@ -7,8 +7,7 @@ from survmix import (CoxFit, MixtureArm, TrialConfig, TwoArmTruth,
                      breslow_baseline, cox_fit, cox_fit_dataset, fit_report,
                      kaplan_meier, marginal_density, marginal_survival,
                      nelson_aalen, period_specific_cox, simulate)
-from survmix.estimators import (MAX_ITERATIONS, SCORE_TOL, _CoxData, _newton,
-                                cox_log_hr_stack)
+from survmix.estimators import _CoxData, _newton, cox_log_hr_stack
 
 from conftest import brute_partial_loglik
 
@@ -272,8 +271,7 @@ class TestStackedNewton:
             parts = [d.loglik_score_info(b) for d, b in zip(data, beta)]
             return tuple(np.stack(column) for column in zip(*parts))
 
-        beta, ll, score, _, iterations, converged = _newton(
-            evaluate, len(data), 2, MAX_ITERATIONS, SCORE_TOL)
+        beta, ll, score, _, iterations, converged = _newton(evaluate, len(data), 2)
         fits = [cox_fit(*problem) for problem in problems]
         assert [f.converged for f in fits] == [True, False, False, True]
         assert fits[1].iterations == 1

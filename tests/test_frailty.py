@@ -334,6 +334,12 @@ class TestTruthCurves:
             truth_curves(two_point_truth, np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
             truth_curves(two_point_truth, np.array([-1.0, 1.0]))
+        for grid in ([0.0, np.nan], [0.0, 1.0, np.inf], [np.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                truth_curves(two_point_truth, np.array(grid))
+        for t_min, t_max in ((0.0, np.nan), (0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                default_grid(t_min, t_max)
 
     def test_curve_table_rejects_inconsistent_columns(self, two_point_truth):
         table = truth_curves(two_point_truth, default_grid(points=11))
