@@ -41,7 +41,7 @@ _INT_COLUMNS = ("id", "arm", "stratum", "event")
 _BLOCK_ROWS = 1 << 16  # rows formatted at a time by _write_columns
 # the bytes of a dataset file that _parse_plain hands to numpy
 _PLAIN_HEADER = re.compile(rb"[a-z0-9_,]*")
-_PLAIN_BODY = re.compile(rb"[0-9.eE+\-,\n]+")
+_PLAIN_BODY = b"0123456789.eE+-,\n"
 
 
 class InputError(ValueError):
@@ -132,8 +132,8 @@ def read_dataset_csv(path):
             data = fh.read()
     except OSError as err:
         raise InputError(f"cannot read dataset {path}: {err}") from None
-    columns = _parse_plain(path, data)
-    if columns is None:
+    records = _parse_plain(path, data)
+    if records is None:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as err:
@@ -142,6 +142,11 @@ def read_dataset_csv(path):
             raise InputError(f"{path} row {row}: not UTF-8 text "
                              f"(byte 0x{data[err.start]:02x})") from None
         columns = _parse_rows(path, text.splitlines())
+    else:
+        # the file's bytes go before the columns are copied out of the records
+        del data
+        columns = {name: records[name].copy() for name in records.dtype.names}
+        del records
     return _check_columns(path, columns)
 
 
@@ -159,32 +164,38 @@ def _check_header(path, header):
 
 
 def _parse_plain(path, data):
-    """Columns of the dataset CSV bytes `data` through np.loadtxt, or None
-    when the file is one that only _parse_rows may judge.
+    """The records of the dataset CSV bytes `data` through np.loadtxt, one
+    field per column, or None when the file is one that only _parse_rows may
+    judge.
 
     The two parsers agree on a body of digits, signs, points, exponents,
     commas and newlines with no blank line. Outside it they part: numpy skips
     blank lines and strips whitespace, which _parse_rows rejects.
     """
     end = data.find(b"\n")
-    if (end < 0 or not _PLAIN_BODY.fullmatch(data, end + 1)
-            or data.find(b"\n\n", end) >= 0
-            or not _PLAIN_HEADER.fullmatch(data, 0, end)):
+    # every byte after the header is in _PLAIN_BODY when deleting those bytes
+    # leaves the same from the whole file as from the header alone
+    if (end < 0 or end + 1 == len(data)
+            or not _PLAIN_HEADER.fullmatch(data, 0, end)
+            or data.translate(None, _PLAIN_BODY) != data[:end].translate(None, _PLAIN_BODY)):
         return None
     header = _check_header(path, data[:end].decode("ascii").split(","))
     try:
         with warnings.catch_warnings():
             # older numpy reads "1.5" in an int column as 1, with this warning
             warnings.simplefilter("error", DeprecationWarning)
+            # a body of blank lines only, which numpy reads as no data
+            warnings.simplefilter("error", UserWarning)
             records = np.loadtxt(
                 io.BytesIO(data), delimiter=",", comments=None, skiprows=1, ndmin=1,
                 dtype=[(name, np.int64 if name in _INT_COLUMNS else np.float64)
                        for name in header])
-    except (ValueError, DeprecationWarning):
+    except (ValueError, DeprecationWarning, UserWarning):
         return None
+    # numpy skips a blank line, so a file with one has fewer records than lines
     if records.size != data.count(b"\n", end + 1) + (not data.endswith(b"\n")):
         return None
-    return {name: records[name].copy() for name in header}
+    return records
 
 
 def _parse_rows(path, lines):
@@ -219,13 +230,15 @@ def _check_columns(path, out):
     """The value checks on parsed columns; `event` comes back as bool."""
     _check_values(path, out, ("event", "arm", "observed_time"))
     out["event"] = out["event"].astype(bool)
-    # a stable sort puts each id's first row first; the rows after it repeat it
     ids = out["id"]
-    order = np.argsort(ids, kind="stable")
-    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
-    if repeats.size:
-        row = repeats.min()
-        raise InputError(f"{path} row {row + 2}: duplicate id {ids[row]}")
+    # strictly increasing ids, as simulate writes them, repeat none; otherwise
+    # a stable sort puts each id's first row first and the rows after it repeat it
+    if not np.all(ids[1:] > ids[:-1]):
+        order = np.argsort(ids, kind="stable")
+        repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+        if repeats.size:
+            row = repeats.min()
+            raise InputError(f"{path} row {row + 2}: duplicate id {ids[row]}")
     # the latent columns come last: a file the checks above reject keeps their message
     _check_values(path, out, [name for name in _LATENT_COLUMNS if name in out])
     return out
@@ -347,10 +360,12 @@ def cmd_fit(args):
             f"{args.dataset} has no {err.args[0]!r} column; simulate with "
             "--reveal-latent to keep latent columns"
         ) from None
+    # the fit reads nothing else: the other columns go before it starts
+    time, event = columns["observed_time"], columns["event"]
+    del columns
 
     if cutpoints:
-        period = period_specific_cox(columns["observed_time"], columns["event"], x,
-                                     cutpoints, names=covariates)
+        period = period_specific_cox(time, event, x, cutpoints, names=covariates)
         payload = {
             "cutpoints": list(period.cutpoints),
             "periods": [
@@ -367,7 +382,7 @@ def cmd_fit(args):
             ],
         }
     else:
-        fit = cox_fit(columns["observed_time"], columns["event"], x, names=covariates)
+        fit = cox_fit(time, event, x, names=covariates)
         payload = fit_report(fit)
 
     path = _write_json(os.path.join(_ensure_out_dir(args, cfg), FIT_FILE), payload)
@@ -390,10 +405,12 @@ def cmd_estimands(args):
         source = EstimatedCurves.from_sample(
             columns["observed_time"], columns["event"], columns["arm"])
         # conventions: landmark at median follow-up, RMST to the last event
+        # or to the end of the shorter arm's follow-up, whichever comes first
         median_followup = float(np.median(columns["observed_time"]))
         last_event = float(columns["observed_time"][columns["event"]].max())
         landmark_t = args.landmark if args.landmark is not None else median_followup
-        rmst_tau = args.rmst if args.rmst is not None else last_event
+        rmst_tau = args.rmst if args.rmst is not None \
+            else min(last_event, source.max_supported_time)
         ratio_t = landmark_t
 
     reports = [

@@ -100,10 +100,15 @@ class _RiskSets:
     """One sample sorted once by time and grouped at its distinct event times.
 
     Group j is the j-th distinct time with an event; its risk set is every
-    sorted row from start[j] on.
+    sorted row from start[j] on. Only the per-group arrays are kept.
     """
 
     def __init__(self, time, event):
+        self._group(time, event)
+
+    def _group(self, time, event):
+        """Set the groups of the sample; return its sort order and the sorted
+        event flags."""
         time = np.asarray(time, dtype=float)
         event = np.asarray(event, dtype=bool)
         if time.ndim != 1 or time.size == 0 or time.shape != event.shape:
@@ -113,17 +118,18 @@ class _RiskSets:
         if not event.any():
             raise ValueError("sample contains no events")
         # stable: the Cox sums add tied rows in input order
-        self.order = np.argsort(time, kind="stable")
-        self.time = time[self.order]
-        self.event = event[self.order]
+        order = np.argsort(time, kind="stable")
+        time = time[order]
+        event = event[order]
         self.n = time.size
         # first sorted row of each distinct time, then of each with an event
-        first = np.flatnonzero(np.r_[True, self.time[1:] != self.time[:-1]])
-        d = np.add.reduceat(self.event.astype(np.int64), first)
+        first = np.flatnonzero(np.r_[True, time[1:] != time[:-1]])
+        d = np.add.reduceat(event.astype(np.int64), first)
         self.start = first[d > 0]
-        self.times = self.time[self.start]
+        self.times = time[self.start]
         self.d = d[d > 0]
         self.n_risk = self.n - self.start  # sorted ascending: everyone later is at risk
+        return order, event
 
 
 def kaplan_meier(time, event):
@@ -176,24 +182,24 @@ class _CoxData(_RiskSets):
     """
 
     def __init__(self, time, event, x):
-        super().__init__(time, event)
+        order, event = self._group(time, event)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
         if x.shape[0] != self.n:
             raise ValueError("covariate rows must match the number of observations")
-        self.x = x[self.order]
+        self.x = x[order]
         self.p = x.shape[1]
         for j in range(self.p):
-            if np.ptp(self.x[self.event, j]) == 0.0:
+            if np.ptp(self.x[event, j]) == 0.0:
                 raise _ConstantCovariate(
                     f"covariate {j} is constant among events; "
                     "the partial likelihood has no maximum"
                 )
         # per-event-time sum of covariates over the events; the censored rows
         # up to the next event time add exact zeros
-        ex = np.where(self.event[:, None], self.x, 0.0)
-        self.event_x_sum = np.add.reduceat(ex, self.start, axis=0)
+        self.event_x_sum = np.add.reduceat(np.where(event[:, None], self.x, 0.0),
+                                           self.start, axis=0)
         self.n_events = int(self.d.sum())
         # buffer column of each x_k x_l w, computed as (x_k w) x_l. Where x_k
         # is 0/1 that is x_k w itself, and where x_k and x_l are both 0/1 the
@@ -225,19 +231,23 @@ class _CoxData(_RiskSets):
         for c, (k, l) in enumerate(self._products, start=1 + p):
             np.multiply(work[:, 1 + k], x[:, l], out=work[:, c])
         # suffix sums give risk-set aggregates at the head row of each group;
-        # the gather copies them out of the buffer
-        risk = _suffix_sum(work)[self.start]
-        w_risk = risk[:, 0].copy()
-
-        xbar = risk[:, 1:1 + p] / w_risk[:, None]
+        # each gather copies its columns straight out of the buffer
+        _suffix_sum(work)
+        w_risk = work[self.start, 0]
         ll = float(np.sum(self.event_x_sum @ beta) - np.sum(self.d * np.log(w_risk)))
-        score = np.sum(self.event_x_sum - self.d[:, None] * xbar, axis=0)
-        # einsum's summation order follows the operand's layout: keep it
-        # C-contiguous
-        centred = np.divide(risk[:, self._pair_column], w_risk[:, None, None],
-                            out=np.empty((len(w_risk), p, p)))
-        centred -= xbar[:, :, None] * xbar[:, None, :]
+        xbar = work[self.start, 1:1 + p]
+        xbar /= w_risk[:, None]
+        # einsum's summation order follows the operand's layout: the gather
+        # gives a C-contiguous (G, p, p) array
+        centred = work[self.start[:, None, None], self._pair_column]
+        centred /= w_risk[:, None, None]
+        for k in range(p):
+            for l in range(p):
+                centred[:, k, l] -= xbar[:, k] * xbar[:, l]
         info = np.einsum("j,jkl->kl", self.d.astype(float), centred)
+        # the score from d_j xbar_j, scaled in place now that info is done
+        xbar *= self.d[:, None]
+        score = np.sum(np.subtract(self.event_x_sum, xbar, out=xbar), axis=0)
         return ll, score, info
 
     def baseline_increments(self, beta):

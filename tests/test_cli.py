@@ -287,6 +287,26 @@ class TestEstimandsCommand:
         assert run("estimands", "--source", str(sim / "dataset.csv"),
                    "--landmark", "1e6") == 1
 
+    @pytest.mark.parametrize("censoring", ["kind = none",
+                                           "kind = both\nadmin_time = 8\nrate = 0.05"])
+    def test_default_rmst_horizon(self, tmp_path, censoring):
+        # uncensored, one arm's last event lies past the other arm's last
+        # observed time, so the horizon stops there; censored at 8, the last
+        # event comes first
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(default_config_text().replace("kind = none", censoring))
+        sim, out = tmp_path / "sim", tmp_path / "est"
+        assert run("simulate", "--config", str(cfg), "--out", str(sim)) == 0
+        assert run("estimands", "--source", str(sim / "dataset.csv"),
+                   "--out", str(out)) == 0
+        columns = read_dataset_csv(str(sim / "dataset.csv"))
+        time, event, arm = columns["observed_time"], columns["event"], columns["arm"]
+        last_event = time[event].max()
+        followup = min(time[arm == 0].max(), time[arm == 1].max())
+        assert (last_event > followup) == (censoring == "kind = none")
+        reports = {r["name"]: r for r in json.loads((out / "estimands.json").read_text())}
+        assert reports["rmst_difference"]["horizon"] == min(last_event, followup)
+
 
 class TestRejectedFlagsAndKeys:
     """Bad flags and config keys exit 1, name the flag or key and write
@@ -499,7 +519,12 @@ class TestCsvLayer:
             except InputError as err:
                 return str(err)
 
-        fast = outcome(lambda: cli._parse_plain(path, data))
+        def plain():
+            records = cli._parse_plain(path, data)
+            if records is not None:
+                return {name: records[name].copy() for name in records.dtype.names}
+
+        fast = outcome(plain)
         rows = outcome(lambda: cli._parse_rows(path, data.decode().splitlines()))
         assert fast is None or fast == rows
 
@@ -516,6 +541,13 @@ class TestCsvLayer:
         for name, values in read_dataset_csv(str(path)).items():
             assert values.dtype == columns[name].dtype
             assert values.tobytes() == columns[name].tobytes()
+
+    def test_ids_in_any_order(self, tmp_path):
+        # simulate writes increasing ids; any order passes while no id repeats
+        path = tmp_path / "dataset.csv"
+        path.write_text("id,arm,observed_time,event\n"
+                        + "".join(f"{i},{i % 2},{i + 1}.5,1\n" for i in (5, 3, 9, 0)))
+        assert read_dataset_csv(str(path))["id"].tolist() == [5, 3, 9, 0]
 
     @pytest.mark.parametrize("rows", [0, 1, 4, 5, 6])  # around a 5-row block
     def test_writers_match_reference_format(self, tmp_path, monkeypatch, rows):
