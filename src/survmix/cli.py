@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -35,9 +36,6 @@ FIT_FILE = "fit.json"
 ESTIMANDS_FILE = "estimands.json"
 SENSITIVITY_FILE = "sensitivity.csv"
 
-_REQUIRED_COLUMNS = ("id", "arm", "observed_time", "event")
-_LATENT_COLUMNS = ("stratum", "potential_time_0", "potential_time_1")
-_INT_COLUMNS = ("id", "arm", "stratum", "event")
 _BLOCK_ROWS = 1 << 16  # rows formatted at a time by _write_columns
 # the bytes of a dataset file that _parse_plain hands to numpy
 _PLAIN_HEADER = re.compile(rb"[a-z0-9_,]*")
@@ -46,6 +44,29 @@ _PLAIN_BODY = b"0123456789.eE+-,\n"
 
 class InputError(ValueError):
     """Bad command line, config or data file; maps to exit code 1."""
+
+
+def _bad_time(values):
+    return ~np.isfinite(values) | (values <= 0.0)
+
+
+def _not_binary(values):
+    return (values != 0) & (values != 1)
+
+
+# The dataset columns in the order simulate writes them: each one's dtype,
+# whether only --reveal-latent writes it, and the rule its values must meet
+# with the mask of values that break it (_check_columns checks that no id repeats)
+_Column = namedtuple("_Column", "dtype latent rule broken")
+_DATASET_COLUMNS = {
+    "id": _Column(np.int64, False, None, None),
+    "arm": _Column(np.int64, False, "0 or 1", _not_binary),
+    "stratum": _Column(np.int64, True, ">= 0", lambda values: values < 0),
+    "potential_time_0": _Column(np.float64, True, "finite and > 0", _bad_time),
+    "potential_time_1": _Column(np.float64, True, "finite and > 0", _bad_time),
+    "observed_time": _Column(np.float64, False, "finite and > 0", _bad_time),
+    "event": _Column(np.int64, False, "0 or 1", _not_binary),
+}
 
 
 def _atomic_write(path, chunks):
@@ -108,16 +129,12 @@ def write_curve_tables(table, out_dir):
 def write_dataset(dataset, out_dir, reveal_latent=False):
     """Dataset -> dataset.csv; latent columns only when requested."""
     path = os.path.join(out_dir, DATASET_FILE)
-    if reveal_latent:
-        _write_columns(path, ("id", "arm", "stratum", "potential_time_0",
-                              "potential_time_1", "observed_time", "event"),
-                       "%d,%d,%d,%.9g,%.9g,%.9g,%d\n",
-                       (dataset.ids, dataset.arm, dataset.stratum,
-                        dataset.potential_time_0, dataset.potential_time_1,
-                        dataset.observed_time, dataset.event))
-    else:
-        _write_columns(path, ("id", "arm", "observed_time", "event"), "%d,%d,%.9g,%d\n",
-                       (dataset.ids, dataset.arm, dataset.observed_time, dataset.event))
+    header = [name for name, column in _DATASET_COLUMNS.items()
+              if reveal_latent or not column.latent]
+    fmt = ",".join("%d" if _DATASET_COLUMNS[name].dtype is np.int64 else "%.9g"
+                   for name in header) + "\n"
+    values = dict(vars(dataset), id=dataset.ids)
+    _write_columns(path, header, fmt, [values[name] for name in header])
     return path
 
 
@@ -151,10 +168,11 @@ def read_dataset_csv(path):
 
 
 def _check_header(path, header):
-    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
+    missing = [name for name, column in _DATASET_COLUMNS.items()
+               if not column.latent and name not in header]
     if missing:
         raise InputError(f"{path}: missing required column(s) {', '.join(missing)}")
-    unknown = [c for c in header if c not in _REQUIRED_COLUMNS + _LATENT_COLUMNS]
+    unknown = [c for c in header if c not in _DATASET_COLUMNS]
     if unknown:
         raise InputError(f"{path}: unknown column(s) {', '.join(unknown)}")
     repeated = [c for i, c in enumerate(header) if c in header[:i]]
@@ -188,8 +206,7 @@ def _parse_plain(path, data):
             warnings.simplefilter("error", UserWarning)
             records = np.loadtxt(
                 io.BytesIO(data), delimiter=",", comments=None, skiprows=1, ndmin=1,
-                dtype=[(name, np.int64 if name in _INT_COLUMNS else np.float64)
-                       for name in header])
+                dtype=[(name, _DATASET_COLUMNS[name].dtype) for name in header])
     except (ValueError, DeprecationWarning, UserWarning):
         return None
     # numpy skips a blank line, so a file with one has fewer records than lines
@@ -207,23 +224,31 @@ def _parse_rows(path, lines):
         raise InputError(f"{path}: no data rows")
 
     columns = {name: [] for name in header}
+    parsers = [_int64 if _DATASET_COLUMNS[name].dtype is np.int64 else float
+               for name in header]
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != len(header):
             raise InputError(
                 f"{path} row {lineno}: expected {len(header)} fields, got {len(fields)}"
             )
-        for name, field in zip(header, fields):
+        for name, parse, field in zip(header, parsers, fields):
             try:
-                if name in _INT_COLUMNS:
-                    columns[name].append(int(field))
-                else:
-                    columns[name].append(float(field))
+                columns[name].append(parse(field))
             except ValueError:
                 raise InputError(
                     f"{path} row {lineno}: bad value {field!r} for column {name}"
                 ) from None
-    return {name: np.asarray(vals) for name, vals in columns.items()}
+    return {name: np.array(vals, dtype=_DATASET_COLUMNS[name].dtype)
+            for name, vals in columns.items()}
+
+
+def _int64(field):
+    """The integer of a text field; a ValueError unless it fits in int64."""
+    value = int(field)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{field!r} is beyond int64")
+    return value
 
 
 def _check_columns(path, out):
@@ -240,33 +265,15 @@ def _check_columns(path, out):
             row = repeats.min()
             raise InputError(f"{path} row {row + 2}: duplicate id {ids[row]}")
     # the latent columns come last: a file the checks above reject keeps their message
-    _check_values(path, out, [name for name in _LATENT_COLUMNS if name in out])
+    _check_values(path, out, [name for name, column in _DATASET_COLUMNS.items()
+                              if column.latent and name in out])
     return out
-
-
-def _bad_time(values):
-    return ~np.isfinite(values) | (values <= 0.0)
-
-
-def _not_binary(values):
-    return (values != 0) & (values != 1)
-
-
-# column -> (the rule its values must meet, the mask of values that break it)
-_VALUE_RULES = {
-    "arm": ("0 or 1", _not_binary),
-    "event": ("0 or 1", _not_binary),
-    "observed_time": ("finite and > 0", _bad_time),
-    "potential_time_0": ("finite and > 0", _bad_time),
-    "potential_time_1": ("finite and > 0", _bad_time),
-    "stratum": (">= 0", lambda values: values < 0),
-}
 
 
 def _check_values(path, out, names):
     """Name the first row whose value breaks its column's rule."""
     for name in names:
-        rule, broken = _VALUE_RULES[name]
+        _, _, rule, broken = _DATASET_COLUMNS[name]
         bad = np.flatnonzero(broken(out[name]))
         if bad.size:
             row = bad[0]

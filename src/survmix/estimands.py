@@ -65,6 +65,8 @@ class EstimatedCurves:
             mask = arm == z
             if not mask.any():
                 raise ValueError(f"no observations in arm {z}")
+            if not event[mask].any():
+                raise ValueError(f"no events in arm {z}")
             curves.append(kaplan_meier(time[mask], event[mask]))
             max_times.append(float(time[mask].max()))
         return cls(curves[0], curves[1], max_times[0], max_times[1])

@@ -181,7 +181,7 @@ class _CoxData(_RiskSets):
     products x_k x_l w that `_pair_column` does not map onto another column.
     """
 
-    def __init__(self, time, event, x):
+    def __init__(self, time, event, x, names=None):
         order, event = self._group(time, event)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -190,10 +190,14 @@ class _CoxData(_RiskSets):
             raise ValueError("covariate rows must match the number of observations")
         self.x = x[order]
         self.p = x.shape[1]
-        for j in range(self.p):
+        self.names = tuple(names) if names is not None else tuple(
+            f"x{j}" for j in range(self.p))
+        if len(self.names) != self.p:
+            raise ValueError("one covariate name per column required")
+        for j, name in enumerate(self.names):
             if np.ptp(self.x[event, j]) == 0.0:
                 raise _ConstantCovariate(
-                    f"covariate {j} is constant among events; "
+                    f"covariate {name} is constant among events; "
                     "the partial likelihood has no maximum"
                 )
         # per-event-time sum of covariates over the events; the censored rows
@@ -389,12 +393,7 @@ def cox_fit(time, event, x, names=None):
     trajectory escaping |beta| > DIVERGENCE_BOUND is flagged converged=False
     (monotone likelihood / separation), never raised.
     """
-    data = _CoxData(time, event, x)
-    if names is None:
-        names = tuple(f"x{j}" for j in range(data.p))
-    names = tuple(names)
-    if len(names) != data.p:
-        raise ValueError("one covariate name per column required")
+    data = _CoxData(time, event, x, names)
 
     def evaluate(beta):
         ll, score, info = data.loglik_score_info(beta[0])
@@ -408,7 +407,7 @@ def cox_fit(time, event, x, names=None):
             se = np.sqrt(np.diag(covariance))
         except np.linalg.LinAlgError:
             se = np.full(data.p, np.inf)
-    return CoxFit(names=names, coef=beta[0], se=se, iterations=int(iterations[0]),
+    return CoxFit(names=data.names, coef=beta[0], se=se, iterations=int(iterations[0]),
                   converged=bool(converged[0]), loglik_at_max=float(ll[0]),
                   score_at_max=score[0], n_events=data.n_events)
 

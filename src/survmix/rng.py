@@ -34,6 +34,19 @@ def check_seed(seed):
     return np.uint64(seed)
 
 
+def _keyed_bits(seed, ids, stream):
+    """The SplitMix64 hash of every (seed, id, stream), as uint64; `seed` and
+    `ids` broadcast as in substream_uniforms."""
+    if np.ndim(seed) == 0:
+        key = check_seed(seed)
+    else:
+        key = np.array([check_seed(s) for s in seed], dtype=np.uint64)
+    ids = np.asarray(ids, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = _mix64(key + _GAMMA * np.uint64(stream + 1))
+        return _mix64((ids + np.uint64(1)) * _GAMMA + z.reshape(z.shape + (1,) * ids.ndim))
+
+
 def substream_uniforms(seed, ids, stream):
     """Uniforms in the open interval (0, 1), one per id, for a named substream.
 
@@ -42,22 +55,11 @@ def substream_uniforms(seed, ids, stream):
     value at a given (seed, id, stream) never depends on which other seeds
     and ids are being generated alongside it.
     """
-    if np.ndim(seed) == 0:
-        key = check_seed(seed)
-    else:
-        key = np.array([check_seed(s) for s in seed], dtype=np.uint64)
-    ids = np.asarray(ids, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _mix64(key + _GAMMA * np.uint64(stream + 1))
-        bits = _mix64((ids + np.uint64(1)) * _GAMMA + z.reshape(z.shape + (1,) * ids.ndim))
+    bits = _keyed_bits(seed, ids, stream)
     # 53 high bits, offset by half an ulp: strictly inside (0, 1)
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
 def derive_seed(seed, index):
-    """Deterministic child seed for replicate `index` of a parent seed."""
-    key = check_seed(seed)
-    with np.errstate(over="ignore"):
-        z = _mix64(key + _GAMMA * np.uint64(STREAM_REPLICATE + 1))
-        child = _mix64((np.uint64(index) + np.uint64(1)) * _GAMMA + z)
-    return int(child)
+    """Child seed of replicate `index`: the integer draw of STREAM_REPLICATE."""
+    return int(_keyed_bits(seed, index, STREAM_REPLICATE))

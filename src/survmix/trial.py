@@ -164,9 +164,6 @@ class Dataset:
             np.array_equal(getattr(self, c), getattr(other, c))
             for c in self._COLUMNS)
 
-    def assigned_potential_time(self):
-        return np.where(self.arm == 0, self.potential_time_0, self.potential_time_1)
-
     def covariate_matrix(self, names):
         """Covariate columns for regression, e.g. ('arm',) or ('arm', 'stratum')."""
         return covariate_matrix(vars(self), names)
@@ -188,35 +185,33 @@ def _potential_times(config, seed):
     stratum = np.searchsorted(cum_weights, u_strat, side="left")
     stratum = np.minimum(stratum, len(cum_weights) - 1)
 
-    rates_0 = np.asarray(truth.control.rates)[stratum]
-    rates_1 = np.asarray(truth.research.rates)[stratum]
-    u0 = rng.substream_uniforms(seed, ids, rng.STREAM_EVENT_PRIMARY)
-    if config.coupling == COUPLING_COMONOTONE:
-        log_u0 = -np.log(u0)
-        t0 = log_u0 / rates_0
-        t1 = log_u0 / rates_1
-    else:
-        u1 = rng.substream_uniforms(seed, ids, rng.STREAM_EVENT_SECONDARY)
-        t0 = -np.log(u0) / rates_0
-        t1 = -np.log(u1) / rates_1
-    return ids, arm, stratum, t0, t1
+    # unit-rate exponentials, one stream per potential time; the comonotone
+    # coupling reuses the primary one
+    e0 = -np.log(rng.substream_uniforms(seed, ids, rng.STREAM_EVENT_PRIMARY))
+    e1 = e0
+    if config.coupling == COUPLING_INDEPENDENT:
+        e1 = -np.log(rng.substream_uniforms(seed, ids, rng.STREAM_EVENT_SECONDARY))
+    return (ids, arm, stratum, e0 / np.asarray(truth.control.rates)[stratum],
+            e1 / np.asarray(truth.research.rates)[stratum])
 
 
-def _censoring_draws(seed, ids):
-    """Unit-rate exponential draws of the censoring substream; divided by a
-    spec's rate they are its censoring times."""
-    return -np.log(rng.substream_uniforms(seed, ids, rng.STREAM_CENSORING))
+def _censor(seed, ids, arm, t0, t1, specs):
+    """Observed times and event indicators of the assigned potential times,
+    one pair per spec of `specs`, as an iterator.
 
-
-def _censor(t_assigned, spec, censoring_draws):
-    """Observed time and event indicator of the assigned potential times
-    under `spec`; `censoring_draws` is used only when spec.rate is set."""
-    censor = np.inf
-    if spec.admin_time is not None:
-        censor = np.minimum(censor, spec.admin_time)
-    if spec.rate is not None:
-        censor = np.minimum(censor, censoring_draws / spec.rate)
-    return np.minimum(t_assigned, censor), t_assigned <= censor
+    The censoring draws of `seed` are made once, and only when a spec has a
+    rate; divided by that rate they are its censoring times.
+    """
+    t_assigned = np.where(arm == 0, t0, t1)
+    if any(spec.rate is not None for spec in specs):
+        draws = -np.log(rng.substream_uniforms(seed, ids, rng.STREAM_CENSORING))
+    for spec in specs:
+        censor = np.inf
+        if spec.admin_time is not None:
+            censor = np.minimum(censor, spec.admin_time)
+        if spec.rate is not None:
+            censor = np.minimum(censor, draws / spec.rate)
+        yield np.minimum(t_assigned, censor), t_assigned <= censor
 
 
 def apply_censoring(dataset, spec, seed):
@@ -226,8 +221,8 @@ def apply_censoring(dataset, spec, seed):
     C ~ Exponential(rate) drawn independently per individual from the
     censoring substream of `seed`; 'both' takes the min of all three.
     """
-    draws = _censoring_draws(seed, dataset.ids) if spec.rate is not None else None
-    observed, event = _censor(dataset.assigned_potential_time(), spec, draws)
+    [(observed, event)] = _censor(seed, dataset.ids, dataset.arm, dataset.potential_time_0,
+                                  dataset.potential_time_1, [spec])
     config = dataset.config
     if config is not None and config.censoring != spec:
         config = replace(config, censoring=spec)
@@ -243,9 +238,7 @@ def simulate(config):
     ids 0 .. 2n-1, arm 0 (control) first.
     """
     ids, arm, stratum, t0, t1 = _potential_times(config, config.seed)
-    spec = config.censoring
-    draws = _censoring_draws(config.seed, ids) if spec.rate is not None else None
-    observed, event = _censor(np.where(arm == 0, t0, t1), spec, draws)
+    [(observed, event)] = _censor(config.seed, ids, arm, t0, t1, [config.censoring])
     return Dataset(ids, arm, stratum, t0, t1, observed, event, config)
 
 
@@ -257,8 +250,4 @@ def censored_replicates(config, seeds, specs):
     once for all specs. Returns the arm column and an iterator over the specs.
     """
     ids, arm, _, t0, t1 = _potential_times(config, seeds)
-    t_assigned = np.where(arm == 0, t0, t1)
-    draws = None
-    if any(spec.rate is not None for spec in specs):
-        draws = _censoring_draws(seeds, ids)
-    return arm, (_censor(t_assigned, spec, draws) for spec in specs)
+    return arm, _censor(seeds, ids, arm, t0, t1, specs)

@@ -217,7 +217,9 @@ class TestFitCommand:
                  (plain, 13, "11,0,12.5,-1"),
                  (latent, 9, "7,-1,1,8.5,9.5,8.5,1"),
                  (plain, 6, "4,0,5.5\udcff,1"),   # a byte that is not UTF-8
-                 (latent, 2, "0,0,0,1.5,\udcff2.5,1.5,1")]
+                 (latent, 2, "0,0,0,1.5,\udcff2.5,1.5,1"),
+                 (plain, 4, "99999999999999999999,0,3.5,1"),  # beyond int64
+                 (latent, 8, "6,0,9223372036854775808,7.5,8.5,7.5,1")]
         for (header, good), row, bad_line in cases:
             lines = good[:row - 2] + [bad_line] + good[row - 1:]
             text = header + "\n" + "\n".join(lines) + "\n"
@@ -235,6 +237,32 @@ class TestFitCommand:
             for command in (("fit", str(path)), ("estimands", "--source", str(path))):
                 assert run(*command, "--out", str(tmp_path / "out")) == 1
                 assert f"repeated column(s) {repeated}\n" in capsys.readouterr().err
+
+    def test_integer_beyond_int64_is_bad_value(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        for name, field in (("id", "99999999999999999999"),
+                            ("stratum", "9223372036854775808"),
+                            ("id", "-9223372036854775809")):
+            row = {"id": "1", "stratum": "0"} | {name: field}
+            path.write_text("id,arm,stratum,observed_time,event\n0,0,0,1.5,1\n"
+                            f"{row['id']},1,{row['stratum']},2.5,1\n2,0,1,3.5,1\n")
+            for command in (("fit", str(path), "--covariates", "arm,stratum"),
+                            ("estimands", "--source", str(path))):
+                assert run(*command, "--out", str(tmp_path / "out")) == 1
+                assert capsys.readouterr().err.endswith(
+                    f"{path} row 3: bad value {field!r} for column {name}\n")
+
+    def test_constant_covariate_named(self, tmp_path, capsys):
+        # every event in arm 1, or in stratum 0: no partial-likelihood maximum
+        path = tmp_path / "constant.csv"
+        for rows, covariate in (
+                (["0,0,0,1.5,0", "1,1,0,2.5,1", "2,0,1,3.5,0", "3,1,1,4.5,1"], "arm"),
+                (["0,0,0,1.5,1", "1,1,0,2.5,1", "2,0,1,3.5,0", "3,1,1,4.5,0"], "stratum")):
+            path.write_text("id,arm,stratum,observed_time,event\n" + "\n".join(rows) + "\n")
+            assert run("fit", str(path), "--covariates", "arm,stratum",
+                       "--out", str(tmp_path / "out")) == 1
+            assert (f"covariate {covariate} is constant among events"
+                    in capsys.readouterr().err)
 
     def test_missing_file_rejected(self):
         assert run("fit", "/no/such/file.csv") == 1
@@ -280,6 +308,13 @@ class TestEstimandsCommand:
         assert lines[0] == "spec_label,mean_beta,mc_se,n_ok,n_failed"
         assert len(lines) == 2
         assert lines[1].startswith("admin@2,")
+
+    def test_arm_without_events_named(self, tmp_path, capsys):
+        path = tmp_path / "no_events.csv"
+        path.write_text("id,arm,observed_time,event\n"
+                        + "".join(f"{i},{i % 2},{i + 1}.5,{1 - i % 2}\n" for i in range(6)))
+        assert run("estimands", "--source", str(path), "--out", str(tmp_path / "est")) == 1
+        assert capsys.readouterr().err.endswith("no events in arm 1\n")
 
     def test_landmark_beyond_support_rejected(self, tmp_path):
         sim = tmp_path / "sim"

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survmix.rng import (STREAM_CENSORING, STREAM_EVENT_PRIMARY, STREAM_STRATUM,
+from survmix.rng import (STREAM_CENSORING, STREAM_EVENT_PRIMARY,
+                         STREAM_EVENT_SECONDARY, STREAM_STRATUM, derive_seed,
                          substream_uniforms)
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -31,3 +32,29 @@ def test_scalar_seed_keeps_one_dimension():
 def test_out_of_range_seed_in_vector_rejected(bad):
     with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
         substream_uniforms([3, bad, 5], np.arange(4), STREAM_STRATUM)
+
+
+# exact draws of the stream layout: any change to the keyed hash moves them
+PINNED_UNIFORMS = [
+    (0, [0, 1, 2], STREAM_STRATUM, [0.6524484863740323, 0.7012121095215254,
+                                    0.38712414097578557]),
+    (20260808, [0, 999, 2**63 - 1], STREAM_EVENT_PRIMARY,
+     [0.580604348614963, 0.2879866363045179, 0.20477631337244878]),
+    (2**64 - 1, [5], STREAM_EVENT_SECONDARY, [0.5606329478963432]),
+    (11, [7, 3], STREAM_CENSORING, [0.7518320228685422, 0.6225743377524422]),
+]
+PINNED_CHILD_SEEDS = [(0, 0, 5085904676777434204),
+                      (20260808, 0, 484818247301933265),
+                      (20260808, 1, 9276192003397960699),
+                      (20260808, 499, 8540393816380370624),
+                      (2**64 - 1, 3, 14615687685483772765)]
+
+
+@pytest.mark.parametrize("seed, ids, stream, expected", PINNED_UNIFORMS)
+def test_pinned_uniforms(seed, ids, stream, expected):
+    assert substream_uniforms(seed, ids, stream).tolist() == expected
+
+
+@pytest.mark.parametrize("seed, index, expected", PINNED_CHILD_SEEDS)
+def test_pinned_child_seeds(seed, index, expected):
+    assert derive_seed(seed, index) == expected

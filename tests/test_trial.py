@@ -1,9 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from survmix import (CensoringSpec, MixtureArm, TrialConfig, TwoArmTruth,
+from survmix import (CensoringSpec, Dataset, MixtureArm, TrialConfig, TwoArmTruth,
                      apply_censoring, kaplan_meier, marginal_density,
                      marginal_survival, simulate)
+from survmix.trial import COUPLINGS
+
+# one spec of every censoring kind
+EVERY_KIND = (CensoringSpec("none"), CensoringSpec("administrative", admin_time=2.0),
+              CensoringSpec("exponential", rate=0.1),
+              CensoringSpec("both", admin_time=2.0, rate=0.1))
+
+# closed forms of the joint law of (T0, T1) given the shared stratum's rates:
+# P(T1 > T0), and P(T0 > s, T1 > t)
+CROSS_WORLD = {
+    "independent": (lambda r0, r1: r0 / (r0 + r1),
+                    lambda r0, r1, s, t: np.exp(-r0 * s - r1 * t)),
+    "comonotone": (lambda r0, r1: (r1 < r0).astype(float),
+                   lambda r0, r1, s, t: np.exp(-np.maximum(r0 * s, r1 * t))),
+}
 
 
 def config_for(truth, **kwargs):
@@ -133,6 +150,23 @@ class TestCoupling:
         ratio = ds.potential_time_1 / ds.potential_time_0
         assert np.unique(ratio).size > 1000
 
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    def test_joint_law_matches_closed_form(self, two_point_truth, coupling):
+        # the revealed potential times of all 2n individuals against the
+        # mixture over the shared stratum, within 4 binomial standard errors
+        ds = simulate(config_for(two_point_truth, coupling=coupling,
+                                 n_per_arm=20_000, seed=11))
+        w = np.asarray(two_point_truth.control.weights)
+        r0 = np.asarray(two_point_truth.control.rates)
+        r1 = np.asarray(two_point_truth.research.rates)
+        concordance, joint_survival = CROSS_WORLD[coupling]
+        t0, t1 = ds.potential_time_0, ds.potential_time_1
+        checks = [(t1 > t0, w @ concordance(r0, r1))]
+        checks += [((t0 > s) & (t1 > t), w @ joint_survival(r0, r1, s, t))
+                   for s, t in ((1.0, 1.0), (2.0, 5.0), (5.0, 2.0))]
+        for hits, p in checks:
+            assert abs(hits.mean() - p) <= 4 * np.sqrt(p * (1 - p) / hits.size)
+
     def test_couplings_share_marginals(self, two_point_truth):
         # identical stratum and primary-uniform streams mean T(0) agrees
         como = simulate(config_for(two_point_truth, coupling="comonotone"))
@@ -210,6 +244,18 @@ class TestCensoring:
         assert np.array_equal(both.observed_time,
                               np.minimum(admin.observed_time, expo.observed_time))
         assert np.array_equal(both.event, admin.event & expo.event)
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=CensoringSpec.label)
+    def test_apply_censoring_matches_simulate(self, two_point_truth, coupling, spec):
+        # censoring an uncensored trial afterwards, with its own seed, is the
+        # trial simulated under that censoring
+        config = config_for(two_point_truth, coupling=coupling, n_per_arm=300)
+        censored = apply_censoring(simulate(config), spec, config.seed)
+        expected = simulate(replace(config, censoring=spec))
+        assert censored.config == expected.config
+        for name in Dataset._COLUMNS:
+            assert np.array_equal(getattr(censored, name), getattr(expected, name))
 
     def test_censoring_deterministic_per_seed(self, two_point_truth):
         base = simulate(config_for(two_point_truth))
