@@ -10,7 +10,6 @@ results such as an unconverged fit), 1 input error, 2 I/O error.
 
 import argparse
 import contextlib
-import io
 import json
 import os
 import re
@@ -36,10 +35,17 @@ FIT_FILE = "fit.json"
 ESTIMANDS_FILE = "estimands.json"
 SENSITIVITY_FILE = "sensitivity.csv"
 
-_BLOCK_ROWS = 1 << 16  # rows formatted at a time by _write_columns
-# the bytes of a dataset file that _parse_plain hands to numpy
+_BLOCK_ROWS = 1 << 14  # rows formatted at a time by _write_columns
+_CHUNK_BYTES = 1 << 18  # bytes of a dataset file parsed at a time by _read_plain
+# the bytes of a dataset file that _read_plain hands to numpy
 _PLAIN_HEADER = re.compile(rb"[a-z0-9_,]*")
 _PLAIN_BODY = b"0123456789.eE+-,\n"
+# the dataset grammar of a field: ASCII digits with an optional sign, and for
+# floats a point, an exponent, inf or nan. Python's int and float take more:
+# underscores (1_0), surrounding whitespace and non-ASCII digits
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
+_FLOAT_FIELD = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|infinity|nan)",
+                          re.IGNORECASE | re.ASCII)
 
 
 class InputError(ValueError):
@@ -141,16 +147,18 @@ def write_dataset(dataset, out_dir, reveal_latent=False):
 def read_dataset_csv(path):
     """Parse a dataset CSV back into columns, naming the row on any error.
 
-    numpy's C parser reads a well-formed file; any other file goes to the
-    per-row parser, whose errors name the bad row.
+    numpy's C parser reads a well-formed file a chunk at a time; any other
+    file goes to the per-row parser, whose errors name the bad row.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            columns = _read_plain(path, fh)
+            if columns is None:
+                fh.seek(0)
+                data = fh.read()
     except OSError as err:
         raise InputError(f"cannot read dataset {path}: {err}") from None
-    records = _parse_plain(path, data)
-    if records is None:
+    if columns is None:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as err:
@@ -158,12 +166,8 @@ def read_dataset_csv(path):
             row = len((data[:err.start].decode("utf-8") + "x").splitlines())
             raise InputError(f"{path} row {row}: not UTF-8 text "
                              f"(byte 0x{data[err.start]:02x})") from None
-        columns = _parse_rows(path, text.splitlines())
-    else:
-        # the file's bytes go before the columns are copied out of the records
         del data
-        columns = {name: records[name].copy() for name in records.dtype.names}
-        del records
+        columns = _parse_rows(path, text.splitlines())
     return _check_columns(path, columns)
 
 
@@ -181,38 +185,55 @@ def _check_header(path, header):
     return header
 
 
-def _parse_plain(path, data):
-    """The records of the dataset CSV bytes `data` through np.loadtxt, one
-    field per column, or None when the file is one that only _parse_rows may
-    judge.
+def _read_plain(path, fh):
+    """The columns of the dataset CSV open for binary reading as `fh`,
+    through np.loadtxt, or None when the file is one that only _parse_rows
+    may judge.
 
     The two parsers agree on a body of digits, signs, points, exponents,
     commas and newlines with no blank line. Outside it they part: numpy skips
-    blank lines and strips whitespace, which _parse_rows rejects.
+    blank lines and strips whitespace, which _parse_rows rejects. A first
+    pass checks the bytes and counts the rows; the second parses whole lines
+    a chunk at a time into the columns, so no more than a chunk of the file
+    is held at once.
     """
-    end = data.find(b"\n")
-    # every byte after the header is in _PLAIN_BODY when deleting those bytes
-    # leaves the same from the whole file as from the header alone
-    if (end < 0 or end + 1 == len(data)
-            or not _PLAIN_HEADER.fullmatch(data, 0, end)
-            or data.translate(None, _PLAIN_BODY) != data[:end].translate(None, _PLAIN_BODY)):
+    first = fh.readline()
+    if not first.endswith(b"\n") or not _PLAIN_HEADER.fullmatch(first, 0, len(first) - 1):
         return None
-    header = _check_header(path, data[:end].decode("ascii").split(","))
-    try:
-        with warnings.catch_warnings():
-            # older numpy reads "1.5" in an int column as 1, with this warning
-            warnings.simplefilter("error", DeprecationWarning)
-            # a body of blank lines only, which numpy reads as no data
-            warnings.simplefilter("error", UserWarning)
-            records = np.loadtxt(
-                io.BytesIO(data), delimiter=",", comments=None, skiprows=1, ndmin=1,
-                dtype=[(name, _DATASET_COLUMNS[name].dtype) for name in header])
-    except (ValueError, DeprecationWarning, UserWarning):
+    rows, last = 0, b"\n"
+    while block := fh.read(_CHUNK_BYTES):
+        if block.translate(None, _PLAIN_BODY):
+            return None
+        rows += block.count(b"\n")
+        last = block[-1:]
+    rows += last != b"\n"  # a last row with no newline
+    if not rows:
         return None
-    # numpy skips a blank line, so a file with one has fewer records than lines
-    if records.size != data.count(b"\n", end + 1) + (not data.endswith(b"\n")):
-        return None
-    return records
+    header = _check_header(path, first[:-1].decode("ascii").split(","))
+    dtype = [(name, _DATASET_COLUMNS[name].dtype) for name in header]
+    columns = {name: np.empty(rows, column_dtype) for name, column_dtype in dtype}
+    fh.seek(len(first))
+    start = 0
+    while lines := fh.readlines(_CHUNK_BYTES):
+        stop = start + len(lines)
+        try:
+            with warnings.catch_warnings():
+                # older numpy reads "1.5" in an int column as 1, with this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                # a chunk of blank lines only, which numpy reads as no data
+                warnings.simplefilter("error", UserWarning)
+                records = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                                     max_rows=len(lines), dtype=dtype)
+        except (ValueError, DeprecationWarning, UserWarning):
+            return None
+        # numpy skips a blank line, so a chunk with one has fewer records than
+        # lines; more rows than the first pass counted mean the file changed
+        if records.size != stop - start or stop > rows:
+            return None
+        for name in header:
+            columns[name][start:stop] = records[name]
+        start = stop
+    return columns if start == rows else None
 
 
 def _parse_rows(path, lines):
@@ -224,7 +245,7 @@ def _parse_rows(path, lines):
         raise InputError(f"{path}: no data rows")
 
     columns = {name: [] for name in header}
-    parsers = [_int64 if _DATASET_COLUMNS[name].dtype is np.int64 else float
+    parsers = [_int64 if _DATASET_COLUMNS[name].dtype is np.int64 else _float
                for name in header]
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
@@ -244,11 +265,22 @@ def _parse_rows(path, lines):
 
 
 def _int64(field):
-    """The integer of a text field; a ValueError unless it fits in int64."""
+    """The integer of a text field; a ValueError unless it is in the dataset
+    grammar and fits in int64."""
+    if not _INT_FIELD.fullmatch(field):
+        raise ValueError(f"{field!r} is not an integer")
     value = int(field)
     if not -2**63 <= value < 2**63:
         raise ValueError(f"{field!r} is beyond int64")
     return value
+
+
+def _float(field):
+    """The float of a text field; a ValueError unless it is in the dataset
+    grammar."""
+    if not _FLOAT_FIELD.fullmatch(field):
+        raise ValueError(f"{field!r} is not a float")
+    return float(field)
 
 
 def _check_columns(path, out):
@@ -368,11 +400,12 @@ def cmd_fit(args):
             "--reveal-latent to keep latent columns"
         ) from None
     # the fit reads nothing else: the other columns go before it starts
-    time, event = columns["observed_time"], columns["event"]
-    del columns
+    fit_columns = {"time": columns["observed_time"], "event": columns["event"], "x": x}
+    del columns, x
 
     if cutpoints:
-        period = period_specific_cox(time, event, x, cutpoints, names=covariates)
+        period = period_specific_cox(fit_columns["time"], fit_columns["event"],
+                                     fit_columns["x"], cutpoints, names=covariates)
         payload = {
             "cutpoints": list(period.cutpoints),
             "periods": [
@@ -389,7 +422,10 @@ def cmd_fit(args):
             ],
         }
     else:
-        fit = cox_fit(time, event, x, names=covariates)
+        # popped, so that cox_fit holds the only references and can drop the
+        # unsorted columns once it has sorted them
+        fit = cox_fit(fit_columns.pop("time"), fit_columns.pop("event"),
+                      fit_columns.pop("x"), names=covariates)
         payload = fit_report(fit)
 
     path = _write_json(os.path.join(_ensure_out_dir(args, cfg), FIT_FILE), payload)
@@ -409,12 +445,14 @@ def cmd_estimands(args):
         ratio_t = args.landmark if args.landmark is not None else cfg.ratio_time
     else:
         columns = read_dataset_csv(args.source)
-        source = EstimatedCurves.from_sample(
-            columns["observed_time"], columns["event"], columns["arm"])
+        # the estimands read nothing else: the other columns go first
+        time, event, arm = columns["observed_time"], columns["event"], columns["arm"]
+        del columns
+        source = EstimatedCurves.from_sample(time, event, arm)
         # conventions: landmark at median follow-up, RMST to the last event
         # or to the end of the shorter arm's follow-up, whichever comes first
-        median_followup = float(np.median(columns["observed_time"]))
-        last_event = float(columns["observed_time"][columns["event"]].max())
+        median_followup = float(np.median(time))
+        last_event = float(time[event].max())
         landmark_t = args.landmark if args.landmark is not None else median_followup
         rmst_tau = args.rmst if args.rmst is not None \
             else min(last_event, source.max_supported_time)

@@ -104,7 +104,13 @@ class _RiskSets:
     """
 
     def __init__(self, time, event):
-        self._group(time, event)
+        order, _ = self._group(time, event)
+        self.times = np.asarray(time, dtype=float)[order[self.start]]
+
+    @property
+    def n_risk(self):
+        """Rows at risk at each event time: every row sorted from its group on."""
+        return self.n - self.start
 
     def _group(self, time, event):
         """Set the groups of the sample; return its sort order and the sorted
@@ -126,9 +132,7 @@ class _RiskSets:
         first = np.flatnonzero(np.r_[True, time[1:] != time[:-1]])
         d = np.add.reduceat(event.astype(np.int64), first)
         self.start = first[d > 0]
-        self.times = time[self.start]
         self.d = d[d > 0]
-        self.n_risk = self.n - self.start  # sorted ascending: everyone later is at risk
         return order, event
 
 
@@ -229,8 +233,11 @@ class _CoxData(_RiskSets):
         """Breslow partial log likelihood and its first two derivatives."""
         work, x, p = self._work, self.x, self.p
         # exp and log go through contiguous arrays: numpy's vector and
-        # strided loops may round them differently
-        work[:, 0] = np.exp(x @ beta)
+        # strided loops may round them differently. exp works in place in
+        # the matmul result, the same contiguous loop
+        w = x @ beta
+        work[:, 0] = np.exp(w, out=w)
+        del w
         np.multiply(x, work[:, :1], out=work[:, 1:1 + p])
         for c, (k, l) in enumerate(self._products, start=1 + p):
             np.multiply(work[:, 1 + k], x[:, l], out=work[:, c])
@@ -394,6 +401,9 @@ def cox_fit(time, event, x, names=None):
     (monotone likelihood / separation), never raised.
     """
     data = _CoxData(time, event, x, names)
+    # the fit reads only the sorted copies; where the caller holds no other
+    # reference the unsorted arrays are freed before the Newton iterations
+    del time, event, x
 
     def evaluate(beta):
         ll, score, info = data.loglik_score_info(beta[0])
@@ -487,7 +497,9 @@ def breslow_baseline(fit, time, event, x):
     increments, w_risk = data.baseline_increments(fit.coef)
     values = np.cumsum(increments)
     variance = np.cumsum(data.d / w_risk**2)  # Poisson-type, beta held fixed
-    return StepCurve(times=data.times, values=values, variance=variance,
+    # the Cox data keep no event times: a plain sort gives the same values
+    times = np.sort(np.asarray(time, dtype=float))[data.start]
+    return StepCurve(times=times, values=values, variance=variance,
                      n_risk=data.n_risk, n_event=data.d, initial=0.0)
 
 

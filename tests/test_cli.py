@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import tempfile
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -246,6 +248,24 @@ class TestFitCommand:
             row = {"id": "1", "stratum": "0"} | {name: field}
             path.write_text("id,arm,stratum,observed_time,event\n0,0,0,1.5,1\n"
                             f"{row['id']},1,{row['stratum']},2.5,1\n2,0,1,3.5,1\n")
+            for command in (("fit", str(path), "--covariates", "arm,stratum"),
+                            ("estimands", "--source", str(path))):
+                assert run(*command, "--out", str(tmp_path / "out")) == 1
+                assert capsys.readouterr().err.endswith(
+                    f"{path} row 3: bad value {field!r} for column {name}\n")
+
+    def test_field_outside_the_grammar_is_bad_value(self, tmp_path, capsys):
+        # Python's int and float take each of these fields; the dataset
+        # grammar takes none of them
+        path = tmp_path / "odd.csv"
+        for name, field in (("id", "1_0"), ("observed_time", "2_5.5"),
+                            ("observed_time", " 3.5 "), ("stratum", " 1"),
+                            ("arm", "\u0661"), ("observed_time", "\uff12.5")):
+            row = {"id": "1", "arm": "1", "stratum": "0", "observed_time": "2.5"}
+            row[name] = field
+            path.write_text("id,arm,stratum,observed_time,event\n0,0,0,1.5,1\n"
+                            + ",".join(row.values()) + ",1\n2,0,1,3.5,1\n",
+                            encoding="utf-8")
             for command in (("fit", str(path), "--covariates", "arm,stratum"),
                             ("estimands", "--source", str(path))):
                 assert run(*command, "--out", str(tmp_path / "out")) == 1
@@ -540,8 +560,8 @@ def dataset_bytes(draw):
 
 class TestCsvLayer:
     @settings(max_examples=400, deadline=None)
-    @given(data=dataset_bytes())
-    def test_fast_reader_agrees_with_row_parser(self, data):
+    @given(data=dataset_bytes(), chunk_bytes=st.sampled_from((1 << 18, 1, 5, 16, 64)))
+    def test_fast_reader_agrees_with_row_parser(self, data, chunk_bytes):
         path = "data.csv"
 
         def outcome(parse):
@@ -554,12 +574,8 @@ class TestCsvLayer:
             except InputError as err:
                 return str(err)
 
-        def plain():
-            records = cli._parse_plain(path, data)
-            if records is not None:
-                return {name: records[name].copy() for name in records.dtype.names}
-
-        fast = outcome(plain)
+        with mock.patch.object(cli, "_CHUNK_BYTES", chunk_bytes):
+            fast = outcome(lambda: cli._read_plain(path, io.BytesIO(data)))
         rows = outcome(lambda: cli._parse_rows(path, data.decode().splitlines()))
         assert fast is None or fast == rows
 
@@ -568,14 +584,60 @@ class TestCsvLayer:
         write_dataset(simulate(config), str(tmp_path), reveal_latent=True)
         path = tmp_path / "dataset.csv"
         data = path.read_bytes()
-        assert cli._parse_plain("dataset.csv", data) is not None
+        assert cli._read_plain("dataset.csv", io.BytesIO(data)) is not None
         columns = read_dataset_csv(str(path))
         crlf = data.replace(b"\n", b"\r\n")
-        assert cli._parse_plain("dataset.csv", crlf) is None
+        assert cli._read_plain("dataset.csv", io.BytesIO(crlf)) is None
         path.write_bytes(crlf)  # the per-row parser reads it to the same columns
         for name, values in read_dataset_csv(str(path)).items():
             assert values.dtype == columns[name].dtype
             assert values.tobytes() == columns[name].tobytes()
+
+    def test_chunks_cut_anywhere_read_the_same(self, tmp_path, monkeypatch):
+        config = TrialConfig(truth=default_config().truth, n_per_arm=20, seed=7)
+        path = write_dataset(simulate(config), str(tmp_path), reveal_latent=True)
+        columns = read_dataset_csv(path)
+        unterminated = tmp_path / "unterminated.csv"  # no newline after the last row
+        unterminated.write_bytes(read(path)[:-1])
+        for chunk_bytes in (1, 2, 7, 43, 64):
+            monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+            for name in (path, str(unterminated)):
+                with open(name, "rb") as fh:
+                    assert cli._read_plain(name, fh) is not None
+                got = read_dataset_csv(name)
+                assert got.keys() == columns.keys()
+                for column, values in got.items():
+                    assert values.dtype == columns[column].dtype
+                    assert values.tobytes() == columns[column].tobytes()
+
+    def test_bad_row_in_a_late_chunk_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 16)
+        path = tmp_path / "bad.csv"
+        good = [f"{i},{i % 2},{i + 1}.5,1" for i in range(40)]
+        # numpy rejects the first three rows, so the per-row parser names
+        # them; it takes the last two, which the value checks name
+        cases = [(37, "35,1,36.5", "expected 4 fields, got 3"),
+                 (38, "36,0,1.5.2,1", "bad value '1.5.2' for column observed_time"),
+                 (39, "", "expected 4 fields, got 1"),  # a blank line
+                 (40, "38,2,39.5,1", "arm must be 0 or 1, got 2"),
+                 (41, "3,1,40.5,1", "duplicate id 3")]
+        for row, bad_line, message in cases:
+            lines = good[:row - 2] + [bad_line] + good[row - 1:]
+            path.write_text("id,arm,observed_time,event\n" + "\n".join(lines) + "\n")
+            assert run("fit", str(path), "--out", str(tmp_path / "out")) == 1
+            assert capsys.readouterr().err.endswith(f"{path} row {row}: {message}\n")
+
+    def test_crlf_file_fits_the_same(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 16)
+        run("simulate", "--out", str(tmp_path / "lf"))
+        path = tmp_path / "lf" / "dataset.csv"
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(read(path).replace(b"\n", b"\r\n"))
+        with open(crlf, "rb") as fh:
+            assert cli._read_plain(str(crlf), fh) is None  # the per-row parser reads it
+        for name, out in ((path, "lf"), (crlf, "crlf")):
+            assert run("fit", str(name), "--out", str(tmp_path / out)) == 0
+        assert read(tmp_path / "crlf" / "fit.json") == read(tmp_path / "lf" / "fit.json")
 
     def test_ids_in_any_order(self, tmp_path):
         # simulate writes increasing ids; any order passes while no id repeats

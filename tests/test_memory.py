@@ -1,15 +1,17 @@
-"""Bounds on the memory that reading a dataset and fitting Cox allocate.
+"""Bounds on the memory that writing and reading a dataset and fitting Cox
+allocate.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 counts every array it holds at once. The bounds are bytes per dataset row at
-a moderate n, where the per-row arrays outweigh everything of fixed size.
+a moderate n, plus the fixed size of the chunk a read parses at a time; a
+write holds one block of rows, whatever their number.
 """
 
 import tracemalloc
 
 import pytest
 
-from survmix import CensoringSpec, TrialConfig, cox_fit, simulate
+from survmix import CensoringSpec, TrialConfig, cli, cox_fit, simulate
 from survmix.cli import read_dataset_csv, write_dataset
 from survmix.config import default_config
 from survmix.trial import covariate_matrix
@@ -33,26 +35,39 @@ def traced_peak(fn):
 
 
 @pytest.fixture(scope="module")
-def dataset_path(tmp_path_factory):
-    """The benchmark's kind of file: every column, censored at 8 and by rate 0.05."""
+def dataset():
+    """The benchmark's kind of trial: censored at 8 and by rate 0.05."""
     config = TrialConfig(truth=default_config().truth, n_per_arm=N_PER_ARM,
                          censoring=CensoringSpec("both", admin_time=8.0, rate=0.05),
                          seed=11)
+    return simulate(config)
+
+
+@pytest.fixture(scope="module")
+def dataset_path(dataset, tmp_path_factory):
+    """The benchmark's kind of file: every column."""
     out = tmp_path_factory.mktemp("dataset")
-    return write_dataset(simulate(config), str(out), reveal_latent=True)
+    return write_dataset(dataset, str(out), reveal_latent=True)
 
 
 def test_read_holds_records_and_columns_only(dataset_path):
-    # 7 columns of 8 bytes: the records and their column copies are 112 bytes
-    # a row; the file's 43 bytes a row are gone before the copies are made
+    # 7 columns of 8 bytes are 56 bytes a row; beyond them the read holds
+    # one chunk's lines and records, about 5.3 chunks measured
     peak = traced_peak(lambda: read_dataset_csv(dataset_path))
-    assert peak / (2 * N_PER_ARM) < 130
+    assert peak < 60 * (2 * N_PER_ARM) + 6 * cli._CHUNK_BYTES
 
 
 def test_cox_fit_working_set(dataset_path):
-    # 116 bytes a row measured: the sorted covariates, one (n, 4) buffer, the
-    # sort and the per-event-time arrays
+    # 106 bytes a row measured: the sorted covariates, one (n, 4) buffer and
+    # the per-event-time arrays, with the gathers of one evaluation
     columns = read_dataset_csv(dataset_path)
     x = covariate_matrix(columns, ("arm", "stratum"))
     peak = traced_peak(lambda: cox_fit(columns["observed_time"], columns["event"], x))
-    assert peak / (2 * N_PER_ARM) < 135
+    assert peak / (2 * N_PER_ARM) < 110
+
+
+def test_write_holds_one_block(dataset, tmp_path):
+    # the text and Python objects of one block of rows: about 4.4 MB for a
+    # 7-column block of 2^14 rows, whatever the number of rows written
+    peak = traced_peak(lambda: write_dataset(dataset, str(tmp_path), reveal_latent=True))
+    assert peak < 5.5e6
