@@ -36,9 +36,8 @@ ESTIMANDS_FILE = "estimands.json"
 SENSITIVITY_FILE = "sensitivity.csv"
 
 _BLOCK_ROWS = 1 << 14  # rows formatted at a time by _write_columns
-_CHUNK_BYTES = 1 << 18  # bytes of a dataset file parsed at a time by _read_plain
-# the bytes of a dataset file that _read_plain hands to numpy
-_PLAIN_HEADER = re.compile(rb"[a-z0-9_,]*")
+_CHUNK_BYTES = 1 << 18  # bytes of a dataset file parsed at a time by read_dataset_csv
+# the bytes after the header of a dataset file that read_dataset_csv hands to numpy
 _PLAIN_BODY = b"0123456789.eE+-,\n"
 # the dataset grammar of a field: ASCII digits with an optional sign, and for
 # floats a point, an exponent, inf or nan. Python's int and float take more:
@@ -147,27 +146,46 @@ def write_dataset(dataset, out_dir, reveal_latent=False):
 def read_dataset_csv(path):
     """Parse a dataset CSV back into columns, naming the row on any error.
 
-    numpy's C parser reads a well-formed file a chunk at a time; any other
-    file goes to the per-row parser, whose errors name the bad row.
+    A line ends at a newline byte or at the end of the file, and one
+    carriage return at its end is dropped; each line is decoded as UTF-8 on
+    its own. A first pass counts the rows and checks whether every byte after
+    the header is one that numpy's C parser and the per-row parser read
+    alike; the second reads whole lines a chunk at a time into the columns,
+    so no more than a chunk of the file is held at once. numpy parses a chunk
+    of such a plain file; the per-row parser, whose errors name the bad row,
+    parses every other chunk.
     """
     try:
         with open(path, "rb") as fh:
-            columns = _read_plain(path, fh)
-            if columns is None:
-                fh.seek(0)
-                data = fh.read()
+            first = fh.readline()
+            if not first:
+                raise InputError(f"{path}: empty file")
+            header = _check_header(path, _line_text(path, 1, first).split(","))
+            rows, plain, last = 0, True, b"\n"
+            while block := fh.read(_CHUNK_BYTES):
+                plain = plain and not block.translate(None, _PLAIN_BODY)
+                rows += block.count(b"\n")
+                last = block[-1:]
+            rows += last != b"\n"  # a last row with no newline
+            if not rows:
+                raise InputError(f"{path}: no data rows")
+            dtype = [(name, _DATASET_COLUMNS[name].dtype) for name in header]
+            columns = {name: np.empty(rows, column_dtype) for name, column_dtype in dtype}
+            fh.seek(len(first))
+            stop = 0
+            while lines := fh.readlines(_CHUNK_BYTES):
+                start, stop = stop, stop + len(lines)
+                if stop > rows:  # more rows than the first pass counted
+                    break
+                records = _parse_plain(lines, dtype) if plain else None
+                if records is None:
+                    records = _parse_rows(path, header, lines, start + 2)
+                for name in header:
+                    columns[name][start:stop] = records[name]
     except OSError as err:
         raise InputError(f"cannot read dataset {path}: {err}") from None
-    if columns is None:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            # the row of the first bad byte, counted as _parse_rows counts lines
-            row = len((data[:err.start].decode("utf-8") + "x").splitlines())
-            raise InputError(f"{path} row {row}: not UTF-8 text "
-                             f"(byte 0x{data[err.start]:02x})") from None
-        del data
-        columns = _parse_rows(path, text.splitlines())
+    if stop != rows:
+        raise InputError(f"{path}: changed while it was read")
     return _check_columns(path, columns)
 
 
@@ -185,83 +203,56 @@ def _check_header(path, header):
     return header
 
 
-def _read_plain(path, fh):
-    """The columns of the dataset CSV open for binary reading as `fh`,
-    through np.loadtxt, or None when the file is one that only _parse_rows
-    may judge.
+def _line_text(path, row, line):
+    """The text of a line of the file, without its newline and one carriage
+    return at its end."""
+    try:
+        return line.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path} row {row}: not UTF-8 text "
+                         f"(byte 0x{line[err.start]:02x})") from None
 
-    The two parsers agree on a body of digits, signs, points, exponents,
-    commas and newlines with no blank line. Outside it they part: numpy skips
-    blank lines and strips whitespace, which _parse_rows rejects. A first
-    pass checks the bytes and counts the rows; the second parses whole lines
-    a chunk at a time into the columns, so no more than a chunk of the file
-    is held at once.
+
+def _parse_plain(lines, dtype):
+    """The records of a chunk of lines of plain bytes, through np.loadtxt, or
+    None when numpy rejects the chunk or skips a blank line in it.
+
+    On such bytes numpy and the per-row parser agree, save that numpy skips
+    blank lines, which the per-row parser rejects.
     """
-    first = fh.readline()
-    if not first.endswith(b"\n") or not _PLAIN_HEADER.fullmatch(first, 0, len(first) - 1):
+    try:
+        with warnings.catch_warnings():
+            # older numpy reads "1.5" in an int column as 1, with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            # a chunk of blank lines only, which numpy reads as no data
+            warnings.simplefilter("error", UserWarning)
+            records = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                                 max_rows=len(lines), dtype=dtype)
+    except (ValueError, DeprecationWarning, UserWarning):
         return None
-    rows, last = 0, b"\n"
-    while block := fh.read(_CHUNK_BYTES):
-        if block.translate(None, _PLAIN_BODY):
-            return None
-        rows += block.count(b"\n")
-        last = block[-1:]
-    rows += last != b"\n"  # a last row with no newline
-    if not rows:
-        return None
-    header = _check_header(path, first[:-1].decode("ascii").split(","))
-    dtype = [(name, _DATASET_COLUMNS[name].dtype) for name in header]
-    columns = {name: np.empty(rows, column_dtype) for name, column_dtype in dtype}
-    fh.seek(len(first))
-    start = 0
-    while lines := fh.readlines(_CHUNK_BYTES):
-        stop = start + len(lines)
-        try:
-            with warnings.catch_warnings():
-                # older numpy reads "1.5" in an int column as 1, with this warning
-                warnings.simplefilter("error", DeprecationWarning)
-                # a chunk of blank lines only, which numpy reads as no data
-                warnings.simplefilter("error", UserWarning)
-                records = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
-                                     max_rows=len(lines), dtype=dtype)
-        except (ValueError, DeprecationWarning, UserWarning):
-            return None
-        # numpy skips a blank line, so a chunk with one has fewer records than
-        # lines; more rows than the first pass counted mean the file changed
-        if records.size != stop - start or stop > rows:
-            return None
-        for name in header:
-            columns[name][start:stop] = records[name]
-        start = stop
-    return columns if start == rows else None
+    return records if records.size == len(lines) else None
 
 
-def _parse_rows(path, lines):
-    """Columns of the dataset CSV `lines`, parsed one value at a time."""
-    if not lines:
-        raise InputError(f"{path}: empty file")
-    header = _check_header(path, lines[0].split(","))
-    if len(lines) == 1:
-        raise InputError(f"{path}: no data rows")
-
+def _parse_rows(path, header, lines, first_row):
+    """The columns of a chunk of dataset `lines`, whose first is row
+    `first_row` of the file, parsed one value at a time."""
     columns = {name: [] for name in header}
     parsers = [_int64 if _DATASET_COLUMNS[name].dtype is np.int64 else _float
                for name in header]
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
+    for row, line in enumerate(lines, start=first_row):
+        fields = _line_text(path, row, line).split(",")
         if len(fields) != len(header):
             raise InputError(
-                f"{path} row {lineno}: expected {len(header)} fields, got {len(fields)}"
+                f"{path} row {row}: expected {len(header)} fields, got {len(fields)}"
             )
         for name, parse, field in zip(header, parsers, fields):
             try:
                 columns[name].append(parse(field))
             except ValueError:
                 raise InputError(
-                    f"{path} row {lineno}: bad value {field!r} for column {name}"
+                    f"{path} row {row}: bad value {field!r} for column {name}"
                 ) from None
-    return {name: np.array(vals, dtype=_DATASET_COLUMNS[name].dtype)
-            for name, vals in columns.items()}
+    return columns
 
 
 def _int64(field):

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import tempfile
@@ -239,6 +238,30 @@ class TestFitCommand:
             for command in (("fit", str(path)), ("estimands", "--source", str(path))):
                 assert run(*command, "--out", str(tmp_path / "out")) == 1
                 assert f"repeated column(s) {repeated}\n" in capsys.readouterr().err
+        # a line ends at a newline only: a row joined to the next by a
+        # character that str.splitlines also takes for a line end is one row
+        _, good = plain
+        for separator in ("\x1c", "\x1d", "\x1e", "\f", "\v", "\r", "\x85", "\u2028"):
+            lines = good[:3] + [good[3] + separator + good[4]] + good[5:]
+            path.write_text("id,arm,observed_time,event\n" + "\n".join(lines) + "\n",
+                            encoding="utf-8")
+            for command in (("fit", str(path)), ("estimands", "--source", str(path))):
+                assert run(*command, "--out", str(tmp_path / "out")) == 1
+                assert capsys.readouterr().err.endswith(
+                    f"{path} row 5: expected 4 fields, got 7\n")
+
+    def test_first_bad_row_named_before_a_later_bad_byte(self, tmp_path, capsys):
+        # each line is decoded on its own, so the rows are judged in file order
+        good = [f"{i},{i % 2},{i + 1}.5,1" for i in range(12)]
+        good[1] = "1,1,2.5"
+        good[8] = "8,0,9.5\udcff,1"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("id,arm,observed_time,event\n" + "\n".join(good) + "\n")
+                         .encode("utf-8", "surrogateescape"))
+        for command in (("fit", str(path)), ("estimands", "--source", str(path))):
+            assert run(*command, "--out", str(tmp_path / "out")) == 1
+            assert capsys.readouterr().err.endswith(
+                f"{path} row 3: expected 4 fields, got 3\n")
 
     def test_integer_beyond_int64_is_bad_value(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
@@ -551,49 +574,85 @@ def dataset_bytes(draw):
             width = draw(st.sampled_from((0,) * 10 + (-1, 1)))
             fields = fields[:len(fields) + width] if width < 0 else fields + ["1"] * width
         lines.append(",".join(fields))
-    breaks = ["\n"] * 12 + (["\r\n", "\n\n", "\x0c", "\r"] if odd_rate else [])
+    breaks = ["\n"] * 12 + (["\r\n", "\n\n", "\x0c", "\r", "\x1c", "\x85"]
+                             if odd_rate else [])
     text = "".join(line + draw(st.sampled_from(breaks)) for line in lines[:-1])
     endings = ["\n", "", "\r\n", "\n\n"] if odd_rate else ["\n", ""]
     text += lines[-1] + draw(st.sampled_from(endings))
     return text.encode()
 
 
+@pytest.fixture
+def parsed_by(monkeypatch):
+    """The parser that read each chunk of the dataset files read in a test:
+    "numpy" for a chunk that np.loadtxt took, "rows" for the per-row parser."""
+    chunks = []
+    parse_plain, parse_rows = cli._parse_plain, cli._parse_rows
+
+    def plain(lines, dtype):
+        records = parse_plain(lines, dtype)
+        if records is not None:
+            chunks.append("numpy")
+        return records
+
+    def rows(*args):
+        chunks.append("rows")
+        return parse_rows(*args)
+
+    monkeypatch.setattr(cli, "_parse_plain", plain)
+    monkeypatch.setattr(cli, "_parse_rows", rows)
+    return chunks
+
+
+def assert_same_columns(got, columns):
+    assert got.keys() == columns.keys()
+    for name, values in got.items():
+        assert values.dtype == columns[name].dtype
+        assert values.tobytes() == columns[name].tobytes()
+
+
 class TestCsvLayer:
     @settings(max_examples=400, deadline=None)
-    @given(data=dataset_bytes(), chunk_bytes=st.sampled_from((1 << 18, 1, 5, 16, 64)))
-    def test_fast_reader_agrees_with_row_parser(self, data, chunk_bytes):
-        path = "data.csv"
+    @given(data=dataset_bytes())
+    def test_fast_reader_agrees_with_row_parser(self, data):
+        def outcome(path, chunk_bytes, parse_plain):
+            with mock.patch.object(cli, "_CHUNK_BYTES", chunk_bytes), \
+                    mock.patch.object(cli, "_parse_plain", parse_plain):
+                try:
+                    columns = read_dataset_csv(path)
+                except InputError as err:
+                    return str(err)
+            return {name: (col.dtype.str, col.tobytes()) for name, col in columns.items()}
 
-        def outcome(parse):
-            try:
-                columns = parse()
-                if columns is None:
-                    return None
-                return {name: (col.dtype.str, col.tobytes())
-                        for name, col in cli._check_columns(path, columns).items()}
-            except InputError as err:
-                return str(err)
+        def row_parser_only(lines, dtype):
+            return None
 
-        with mock.patch.object(cli, "_CHUNK_BYTES", chunk_bytes):
-            fast = outcome(lambda: cli._read_plain(path, io.BytesIO(data)))
-        rows = outcome(lambda: cli._parse_rows(path, data.decode().splitlines()))
-        assert fast is None or fast == rows
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "data.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            rows = outcome(path, 1 << 18, row_parser_only)
+            for chunk_bytes in (1, 5, 16, 64, 1 << 18):
+                assert outcome(path, chunk_bytes, row_parser_only) == rows
+                assert outcome(path, chunk_bytes, cli._parse_plain) == rows
+            if not isinstance(rows, str):  # a CRLF line end reads as an LF one
+                with open(path, "wb") as fh:
+                    fh.write(data.replace(b"\r\n", b"\n"))
+                assert outcome(path, 1 << 18, cli._parse_plain) == rows
 
-    def test_fast_reader_takes_written_files(self, tmp_path):
+    def test_fast_reader_takes_written_files(self, tmp_path, parsed_by):
         config = TrialConfig(truth=default_config().truth, n_per_arm=20, seed=7)
-        write_dataset(simulate(config), str(tmp_path), reveal_latent=True)
-        path = tmp_path / "dataset.csv"
-        data = path.read_bytes()
-        assert cli._read_plain("dataset.csv", io.BytesIO(data)) is not None
-        columns = read_dataset_csv(str(path))
-        crlf = data.replace(b"\n", b"\r\n")
-        assert cli._read_plain("dataset.csv", io.BytesIO(crlf)) is None
-        path.write_bytes(crlf)  # the per-row parser reads it to the same columns
-        for name, values in read_dataset_csv(str(path)).items():
-            assert values.dtype == columns[name].dtype
-            assert values.tobytes() == columns[name].tobytes()
+        path = write_dataset(simulate(config), str(tmp_path), reveal_latent=True)
+        columns = read_dataset_csv(path)
+        assert parsed_by == ["numpy"]
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(read(path).replace(b"\n", b"\r\n"))
+        parsed_by.clear()
+        # the per-row parser reads it to the same columns
+        assert_same_columns(read_dataset_csv(str(crlf)), columns)
+        assert parsed_by == ["rows"]
 
-    def test_chunks_cut_anywhere_read_the_same(self, tmp_path, monkeypatch):
+    def test_chunks_cut_anywhere_read_the_same(self, tmp_path, monkeypatch, parsed_by):
         config = TrialConfig(truth=default_config().truth, n_per_arm=20, seed=7)
         path = write_dataset(simulate(config), str(tmp_path), reveal_latent=True)
         columns = read_dataset_csv(path)
@@ -602,13 +661,9 @@ class TestCsvLayer:
         for chunk_bytes in (1, 2, 7, 43, 64):
             monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
             for name in (path, str(unterminated)):
-                with open(name, "rb") as fh:
-                    assert cli._read_plain(name, fh) is not None
-                got = read_dataset_csv(name)
-                assert got.keys() == columns.keys()
-                for column, values in got.items():
-                    assert values.dtype == columns[column].dtype
-                    assert values.tobytes() == columns[column].tobytes()
+                parsed_by.clear()
+                assert_same_columns(read_dataset_csv(name), columns)
+                assert parsed_by and set(parsed_by) == {"numpy"}
 
     def test_bad_row_in_a_late_chunk_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_CHUNK_BYTES", 16)
@@ -627,16 +682,18 @@ class TestCsvLayer:
             assert run("fit", str(path), "--out", str(tmp_path / "out")) == 1
             assert capsys.readouterr().err.endswith(f"{path} row {row}: {message}\n")
 
-    def test_crlf_file_fits_the_same(self, tmp_path, monkeypatch):
+    def test_crlf_file_fits_the_same(self, tmp_path, monkeypatch, parsed_by):
         monkeypatch.setattr(cli, "_CHUNK_BYTES", 16)
         run("simulate", "--out", str(tmp_path / "lf"))
         path = tmp_path / "lf" / "dataset.csv"
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(read(path).replace(b"\n", b"\r\n"))
-        with open(crlf, "rb") as fh:
-            assert cli._read_plain(str(crlf), fh) is None  # the per-row parser reads it
-        for name, out in ((path, "lf"), (crlf, "crlf")):
+        # numpy reads every chunk of the written file, the per-row parser every
+        # chunk of its CRLF copy
+        for name, out, parser in ((path, "lf", "numpy"), (crlf, "crlf", "rows")):
+            parsed_by.clear()
             assert run("fit", str(name), "--out", str(tmp_path / out)) == 0
+            assert parsed_by and set(parsed_by) == {parser}
         assert read(tmp_path / "crlf" / "fit.json") == read(tmp_path / "lf" / "fit.json")
 
     def test_ids_in_any_order(self, tmp_path):

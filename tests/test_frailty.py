@@ -428,10 +428,11 @@ class TestFixedOrderEvaluation:
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
         package_root = os.path.dirname(os.path.dirname(survmix.__file__))
         env = dict(os.environ, PYTHONPATH=package_root)
-        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+        result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True)
+        assert result.returncode == 0, f"exit {result.returncode}: {result.stderr}"
         peak_mb = int(result.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
-        assert peak_mb < 200.0
+        assert peak_mb < 200.0, f"peak RSS {peak_mb:.1f} MB"
 
 
 def test_default_grid_shape():

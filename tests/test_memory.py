@@ -57,6 +57,16 @@ def test_read_holds_records_and_columns_only(dataset_path):
     assert peak < 60 * (2 * N_PER_ARM) + 6 * cli._CHUNK_BYTES
 
 
+def test_crlf_read_holds_chunks_not_the_file(dataset_path, tmp_path):
+    # the per-row parser reads a CRLF file a chunk at a time too: beyond the
+    # columns, one chunk's lines and Python values, about 7.6 chunks measured
+    crlf = tmp_path / "crlf.csv"
+    with open(dataset_path, "rb") as fh:
+        crlf.write_bytes(fh.read().replace(b"\n", b"\r\n"))
+    peak = traced_peak(lambda: read_dataset_csv(str(crlf)))
+    assert peak < 60 * (2 * N_PER_ARM) + 9 * cli._CHUNK_BYTES
+
+
 def test_cox_fit_working_set(dataset_path):
     # 106 bytes a row measured: the sorted covariates, one (n, 4) buffer and
     # the per-event-time arrays, with the gathers of one evaluation
