@@ -8,6 +8,8 @@ closed-form truth or from Kaplan-Meier curves of a dataset.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -190,16 +192,62 @@ class SensitivityRow:
 _BLOCK_ROWS = 2**15
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replicate_log_hrs(config, specs, replicates):
     """Arm-only Cox log-HR of every (spec, replicate) as a (specs, replicates)
-    array; nan where the fit fails or does not converge."""
-    seeds = [rng.derive_seed(config.seed, r) for r in range(replicates)]
+    array; nan where the fit fails or does not converge.
+
+    With two blocks or more and two usable CPUs, one helper thread fits the
+    odd-numbered blocks while the caller fits the even ones: numpy releases
+    the GIL in its large loops. A block writes only its own columns, so the
+    array is the same whichever thread fits it.
+    """
+    seeds = rng.derive_seed(config.seed, np.arange(replicates))
     block = max(1, _BLOCK_ROWS // (2 * config.n_per_arm))
     log_hrs = np.empty((len(specs), replicates))
-    for first in range(0, replicates, block):
-        arm, censored = censored_replicates(config, seeds[first:first + block], specs)
-        for k, (observed, event) in enumerate(censored):
-            log_hrs[k, first:first + block] = cox_log_hr_stack(observed, event, arm)
+    firsts = range(0, replicates, block)
+    # set when either thread fails, so the other stops at its next block
+    # rather than fitting all of its own before the failure is raised
+    stop = threading.Event()
+
+    def fit_blocks(firsts):
+        for first in firsts:
+            if stop.is_set():
+                return
+            arm, censored = censored_replicates(config, seeds[first:first + block], specs)
+            for k, (observed, event) in enumerate(censored):
+                log_hrs[k, first:first + block] = cox_log_hr_stack(observed, event, arm)
+
+    if len(firsts) < 2 or _usable_cpus() < 2:
+        fit_blocks(firsts)
+        return log_hrs
+
+    helper_error = []
+
+    def helper():
+        try:
+            fit_blocks(firsts[1::2])
+        except BaseException as exc:  # re-raised by the caller after the join
+            helper_error.append(exc)
+            stop.set()
+
+    thread = threading.Thread(target=helper, name="survmix-replicates")
+    thread.start()
+    try:
+        fit_blocks(firsts[::2])
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        thread.join()
+    if helper_error:
+        raise helper_error[0]
     return log_hrs
 
 
@@ -212,8 +260,10 @@ def censoring_sensitivity(config, specs, replicates):
     replicate's potential outcomes are drawn once and re-censored under every
     spec, and a block of replicates is fitted in one stacked Newton solve;
     each log-HR equals cox_fit_dataset(simulate(...)) of its replicate to
-    rounding. Replicates whose fit fails or does not converge are excluded
-    and counted.
+    rounding. When two CPUs are usable and there are two blocks or more, one
+    helper thread fits every other block alongside the calling thread; the
+    rows are byte-identical either way. Replicates whose fit fails or does
+    not converge are excluded and counted.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")

@@ -291,6 +291,7 @@ class _ArmRiskSets:
         # 2 * event + arm, one byte per row
         code = 2 * np.asarray(event, dtype=bool).view(np.int8) + (np.asarray(arm) == 1)
         code = np.take(code, order)
+        del order
         arm_1 = code & 1
         self.deaths = (code >> 1).astype(float)
         self.event_arm_sum = (code == 3).sum(axis=1)
@@ -308,6 +309,7 @@ class _ArmRiskSets:
             first = np.maximum.accumulate(np.where(head, np.arange(n), 0), axis=1)
             before_1 = np.take_along_axis(before_1, first, axis=1)
             at_risk = n - first
+        del time  # the sorted times end with the tie test: free them first
         self.n1 = (total_1 - before_1).astype(float)
         self.n0 = at_risk - self.n1
         self._work = np.empty((2, self.m, n))
@@ -433,13 +435,15 @@ def cox_log_hr_stack(time, event, arm):
     """
     time = np.asarray(time, dtype=float)
     event = np.asarray(event, dtype=bool)
-    arm = np.broadcast_to(arm, time.shape)
+    arm = np.broadcast_to(np.asarray(arm) == 1, time.shape)
     events = event.sum(axis=1)
-    arm_events = (event & (arm == 1)).sum(axis=1)
+    arm_events = (event & arm).sum(axis=1)
     fitted = (arm_events > 0) & (arm_events < events)
     log_hr = np.full(time.shape[0], np.nan)
     if fitted.any():
-        data = _ArmRiskSets(time[fitted], event[fitted], arm[fitted])
+        if not fitted.all():  # no copies when every row is fitted, as is usual
+            time, event, arm = time[fitted], event[fitted], arm[fitted]
+        data = _ArmRiskSets(time, event, arm)
         beta, _, _, _, _, converged = _newton(data.loglik_score_info, data.m, 1)
         log_hr[np.flatnonzero(fitted)[converged]] = beta[converged, 0]
     return log_hr

@@ -61,5 +61,10 @@ def substream_uniforms(seed, ids, stream):
 
 
 def derive_seed(seed, index):
-    """Child seed of replicate `index`: the integer draw of STREAM_REPLICATE."""
-    return int(_keyed_bits(seed, index, STREAM_REPLICATE))
+    """Child seed of replicate `index`: the integer draw of STREAM_REPLICATE.
+
+    A 1-d array of indices gives the child seeds as a uint64 array, each
+    equal to the call with that index alone.
+    """
+    bits = _keyed_bits(seed, index, STREAM_REPLICATE)
+    return bits if np.ndim(index) else int(bits)

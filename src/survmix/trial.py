@@ -203,6 +203,7 @@ def _censor(seed, ids, arm, t0, t1, specs):
     rate; divided by that rate they are its censoring times.
     """
     t_assigned = np.where(arm == 0, t0, t1)
+    del t0, t1  # freed during the fits when the caller keeps no reference
     if any(spec.rate is not None for spec in specs):
         draws = -np.log(rng.substream_uniforms(seed, ids, rng.STREAM_CENSORING))
     for spec in specs:

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ from survmix import (CensoringSpec, EstimatedCurves, MixtureArm, TrialConfig,
                      TwoArmTruth, censoring_sensitivity, cox_fit_dataset,
                      cumulative_hazard, estimands, landmark_contrast,
                      log_survival_ratio, marginal_survival, rmst, simulate)
+from survmix.estimators import cox_log_hr_stack
 from survmix.rng import derive_seed
 
 from conftest import mixture_arms
@@ -295,3 +299,62 @@ class TestBatchedReplicatesMatchReference:
                                  coupling=coupling, seed=94)
             expected = self.check(config, self.SPECS, 30)
             assert np.isnan(expected).any()
+
+
+class TestReplicateThreads:
+    """_replicate_log_hrs fits odd blocks on one helper thread when two CPUs
+    are usable; blocks of 4 replicates, the caller owning blocks 0, 2, ..."""
+    SPECS = TestBatchedReplicatesMatchReference.SPECS + [
+        CensoringSpec("administrative", admin_time=1e-6)]  # no events: nan
+    N_PER_ARM, BLOCK = 40, 4
+
+    def run(self, config, monkeypatch, cpus, replicates, fail_in=None):
+        """The log-HRs with `cpus` usable CPUs, and per cox_log_hr_stack call
+        whether the caller made it and the live thread count; the first call
+        made by `fail_in` ("caller" or "helper") raises."""
+        monkeypatch.setattr(estimands, "_BLOCK_ROWS", self.BLOCK * 2 * self.N_PER_ARM)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        calls = []
+
+        def recording_fit(observed, event, arm):
+            by_caller = threading.current_thread() is threading.main_thread()
+            calls.append((by_caller, threading.active_count()))
+            if fail_in == ("caller" if by_caller else "helper"):
+                raise ValueError(f"fit failed in the {fail_in}")
+            return cox_log_hr_stack(observed, event, arm)
+
+        monkeypatch.setattr(estimands, "cox_log_hr_stack", recording_fit)
+        return estimands._replicate_log_hrs(config, self.SPECS, replicates), calls
+
+    @pytest.mark.parametrize("coupling", ["comonotone", "independent"])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_same_bytes_as_serial(self, two_point_truth, monkeypatch, coupling, blocks):
+        config = TrialConfig(truth=two_point_truth, n_per_arm=self.N_PER_ARM,
+                             coupling=coupling, seed=95)
+        replicates = self.BLOCK * blocks - 1  # a short last block
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads finely
+        try:
+            threaded, calls = self.run(config, monkeypatch, 2, replicates)
+        finally:
+            sys.setswitchinterval(interval)
+        serial, serial_calls = self.run(config, monkeypatch, 1, replicates)
+        np.testing.assert_array_equal(threaded, serial)
+        assert np.isnan(serial[-1]).all() and np.isfinite(serial[0]).all()
+        assert len(calls) == len(serial_calls) == blocks * len(self.SPECS)
+        assert all(by_caller for by_caller, _ in serial_calls)
+        helper_calls = sum(not by_caller for by_caller, _ in calls)
+        assert helper_calls == (blocks // 2) * len(self.SPECS)
+        assert max(alive for _, alive in calls + serial_calls) <= before + 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_in", ["caller", "helper"])
+    def test_error_propagates_and_helper_is_joined(self, two_point_truth, monkeypatch,
+                                                  fail_in):
+        config = TrialConfig(truth=two_point_truth, n_per_arm=self.N_PER_ARM, seed=96)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"^fit failed in the {fail_in}$"):
+            self.run(config, monkeypatch, 2, 4 * self.BLOCK, fail_in=fail_in)
+        assert threading.active_count() == before

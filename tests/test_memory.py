@@ -1,5 +1,5 @@
-"""Bounds on the memory that writing and reading a dataset and fitting Cox
-allocate.
+"""Bounds on the memory that writing and reading a dataset, fitting Cox and
+fitting the sensitivity replicates allocate.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 counts every array it holds at once. The bounds are bytes per dataset row at
@@ -7,11 +7,12 @@ a moderate n, plus the fixed size of the chunk a read parses at a time; a
 write holds one block of rows, whatever their number.
 """
 
+import os
 import tracemalloc
 
 import pytest
 
-from survmix import CensoringSpec, TrialConfig, cli, cox_fit, simulate
+from survmix import CensoringSpec, TrialConfig, cli, cox_fit, estimands, simulate
 from survmix.cli import read_dataset_csv, write_dataset
 from survmix.config import default_config
 from survmix.trial import covariate_matrix
@@ -81,3 +82,16 @@ def test_write_holds_one_block(dataset, tmp_path):
     # 7-column block of 2^14 rows, whatever the number of rows written
     peak = traced_peak(lambda: write_dataset(dataset, str(tmp_path), reveal_latent=True))
     assert peak < 5.5e6
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sensitivity_holds_one_block_per_thread(monkeypatch, cpus):
+    # one block of replicates: its potential and censored times, the sorted
+    # risk-set counts and the Newton work buffer, about 79 bytes a block row
+    # measured; with two usable CPUs the helper thread holds a second block
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    config = TrialConfig(truth=default_config().truth, n_per_arm=500, seed=12)
+    specs = [CensoringSpec("none"), CensoringSpec("both", admin_time=8.0, rate=0.05)]
+    peak = traced_peak(lambda: estimands._replicate_log_hrs(config, specs, 128))
+    assert peak / estimands._BLOCK_ROWS < cpus * 85

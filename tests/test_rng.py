@@ -58,3 +58,14 @@ def test_pinned_uniforms(seed, ids, stream, expected):
 @pytest.mark.parametrize("seed, index, expected", PINNED_CHILD_SEEDS)
 def test_pinned_child_seeds(seed, index, expected):
     assert derive_seed(seed, index) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 20260808, 2**64 - 1])
+def test_child_seed_array_equals_scalar_calls(seed):
+    indices = np.array([0, 1, 499, 2**32, 2**32 + 7, 2**63 - 1], dtype=np.int64)
+    children = derive_seed(seed, indices)
+    assert children.dtype == np.uint64 and children.shape == indices.shape
+    assert children.tolist() == [derive_seed(seed, int(i)) for i in indices]
+    assert type(derive_seed(seed, 2**32)) is int
+    assert derive_seed(seed, np.arange(500)).tolist() == \
+        [derive_seed(seed, i) for i in range(500)]
