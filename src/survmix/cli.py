@@ -440,11 +440,12 @@ def cmd_estimands(args):
         time, event, arm = columns["observed_time"], columns["event"], columns["arm"]
         del columns
         source = EstimatedCurves.from_sample(time, event, arm)
-        # conventions: landmark at median follow-up, RMST to the last event
-        # or to the end of the shorter arm's follow-up, whichever comes first
+        # conventions: landmark at median follow-up and RMST to the last
+        # event, each cut at the end of the shorter arm's follow-up
         median_followup = float(np.median(time))
         last_event = float(time[event].max())
-        landmark_t = args.landmark if args.landmark is not None else median_followup
+        landmark_t = args.landmark if args.landmark is not None \
+            else min(median_followup, source.max_supported_time)
         rmst_tau = args.rmst if args.rmst is not None \
             else min(last_event, source.max_supported_time)
         ratio_t = landmark_t

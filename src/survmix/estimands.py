@@ -10,7 +10,7 @@ closed-form truth or from Kaplan-Meier curves of a dataset.
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,6 +103,9 @@ def landmark_contrast(source, t_star, kind="difference"):
     if kind == "difference":
         value = s1 - s0
     elif kind == "ratio":
+        if s0 == 0.0:
+            raise ValueError(f"landmark ratio undefined at t={t_star:g}: "
+                             "control survival is 0")
         value = s1 / s0
     else:
         # (1-s1) - (1-s0) algebraically; written to negate `difference` exactly

@@ -96,64 +96,64 @@ def check_cutpoints(cutpoints):
     return cutpoints
 
 
-class _RiskSets:
-    """One sample sorted once by time and grouped at its distinct event times.
+def _sort_and_group(time, event):
+    """Sort a sample once by time and group it at its distinct event times.
 
     Group j is the j-th distinct time with an event; its risk set is every
-    sorted row from start[j] on. Only the per-group arrays are kept.
+    sorted row from start[j] on. Returns the stable sort order, the sorted
+    event flags, start and the deaths d of each group.
     """
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event, dtype=bool)
+    if time.ndim != 1 or time.size == 0 or time.shape != event.shape:
+        raise ValueError("need matching non-empty 1-d time and event arrays")
+    if not np.all(time > 0.0):
+        raise ValueError("all observation times must be > 0")
+    if not event.any():
+        raise ValueError("sample contains no events")
+    # stable: the Cox sums add tied rows in input order
+    order = np.argsort(time, kind="stable")
+    time = time[order]
+    event = event[order]
+    # first sorted row of each distinct time, then of each with an event
+    first = np.flatnonzero(np.r_[True, time[1:] != time[:-1]])
+    d = np.add.reduceat(event.astype(np.int64), first)
+    return order, event, first[d > 0], d[d > 0]
 
-    def __init__(self, time, event):
-        order, _ = self._group(time, event)
-        self.times = np.asarray(time, dtype=float)[order[self.start]]
 
-    @property
-    def n_risk(self):
-        """Rows at risk at each event time: every row sorted from its group on."""
-        return self.n - self.start
+def _covariate_columns(x, n):
+    """x as a float matrix of one column per covariate and n rows."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.shape[0] != n:
+        raise ValueError("covariate rows must match the number of observations")
+    return x
 
-    def _group(self, time, event):
-        """Set the groups of the sample; return its sort order and the sorted
-        event flags."""
-        time = np.asarray(time, dtype=float)
-        event = np.asarray(event, dtype=bool)
-        if time.ndim != 1 or time.size == 0 or time.shape != event.shape:
-            raise ValueError("need matching non-empty 1-d time and event arrays")
-        if not np.all(time > 0.0):
-            raise ValueError("all observation times must be > 0")
-        if not event.any():
-            raise ValueError("sample contains no events")
-        # stable: the Cox sums add tied rows in input order
-        order = np.argsort(time, kind="stable")
-        time = time[order]
-        event = event[order]
-        self.n = time.size
-        # first sorted row of each distinct time, then of each with an event
-        first = np.flatnonzero(np.r_[True, time[1:] != time[:-1]])
-        d = np.add.reduceat(event.astype(np.int64), first)
-        self.start = first[d > 0]
-        self.d = d[d > 0]
-        return order, event
+
+def _risk_table(time, event):
+    """The distinct event times of a sample, with the rows at risk and the
+    deaths at each; the sort order is freed on return."""
+    order, _, start, d = _sort_and_group(time, event)
+    return np.asarray(time, dtype=float)[order[start]], order.size - start, d
 
 
 def kaplan_meier(time, event):
     """Product-limit survival estimate with Greenwood variance."""
-    rs = _RiskSets(time, event)
-    n_risk, d = rs.n_risk, rs.d
+    times, n_risk, d = _risk_table(time, event)
     values = np.cumprod(1.0 - d / n_risk)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Greenwood's formula; undefined (nan) once the estimate hits zero
         variance = values**2 * np.cumsum(d / (n_risk * (n_risk - d)))
-    return StepCurve(rs.times, values, variance, n_risk, d, initial=1.0)
+    return StepCurve(times, values, variance, n_risk, d, initial=1.0)
 
 
 def nelson_aalen(time, event):
     """Cumulative-hazard estimate with increments d/n and Poisson variance."""
-    rs = _RiskSets(time, event)
-    n_risk, d = rs.n_risk, rs.d
+    times, n_risk, d = _risk_table(time, event)
     values = np.cumsum(d / n_risk)
     variance = np.cumsum(d / n_risk.astype(float) ** 2)
-    return StepCurve(rs.times, values, variance, n_risk, d, initial=0.0)
+    return StepCurve(times, values, variance, n_risk, d, initial=0.0)
 
 
 def _suffix_sum(out):
@@ -177,8 +177,9 @@ def _is_binary(column):
     return bool(np.all((column == 1.0) | ((column == 0.0) & ~np.signbit(column))))
 
 
-class _CoxData(_RiskSets):
-    """Risk sets plus the sorted covariates shared by the Cox computations.
+class _CoxData:
+    """A sample's risk sets and sorted covariates, as the Cox computations
+    read them.
 
     loglik_score_info works in one (n, q) buffer allocated here: column 0
     holds w = exp(x beta), columns 1..p hold x_k w, and the rest hold the
@@ -186,14 +187,9 @@ class _CoxData(_RiskSets):
     """
 
     def __init__(self, time, event, x, names=None):
-        order, event = self._group(time, event)
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.shape[0] != self.n:
-            raise ValueError("covariate rows must match the number of observations")
-        self.x = x[order]
-        self.p = x.shape[1]
+        order, event, self.start, self.d = _sort_and_group(time, event)
+        self.x = _covariate_columns(x, order.size)[order]
+        self.p = self.x.shape[1]
         self.names = tuple(names) if names is not None else tuple(
             f"x{j}" for j in range(self.p))
         if len(self.names) != self.p:
@@ -227,7 +223,7 @@ class _CoxData(_RiskSets):
                 else:
                     self._pair_column[k, l] = 1 + self.p + len(self._products)
                     self._products.append((k, l))
-        self._work = np.empty((self.n, 1 + self.p + len(self._products)))
+        self._work = np.empty((order.size, 1 + self.p + len(self._products)))
 
     def loglik_score_info(self, beta):
         """Breslow partial log likelihood and its first two derivatives."""
@@ -260,11 +256,6 @@ class _CoxData(_RiskSets):
         xbar *= self.d[:, None]
         score = np.sum(np.subtract(self.event_x_sum, xbar, out=xbar), axis=0)
         return ll, score, info
-
-    def baseline_increments(self, beta):
-        """Breslow increments d_j / sum_{risk} exp(x beta) at each event time."""
-        w_risk = _suffix_sum(np.exp(self.x @ beta))[self.start]
-        return self.d / w_risk, w_risk
 
 
 class _ArmRiskSets:
@@ -491,20 +482,21 @@ def breslow_baseline(fit, time, event, x):
     """Cumulative baseline hazard with increments d_j / sum_risk exp(x beta).
 
     With all coefficients zero this is exactly the Nelson-Aalen estimate of
-    the pooled sample. Requires a converged fit.
+    the pooled sample. Requires a converged fit; given its coefficients
+    nothing is maximised, so a covariate constant among the events is fine.
     """
     if not fit.converged:
         raise ValueError("breslow_baseline requires a converged Cox fit")
-    data = _CoxData(time, event, x)
-    if data.p != len(fit.names):
+    order, _, start, d = _sort_and_group(time, event)
+    x = _covariate_columns(x, order.size)
+    if x.shape[1] != len(fit.names):
         raise ValueError("covariate columns do not match the fit")
-    increments, w_risk = data.baseline_increments(fit.coef)
-    values = np.cumsum(increments)
-    variance = np.cumsum(data.d / w_risk**2)  # Poisson-type, beta held fixed
-    # the Cox data keep no event times: a plain sort gives the same values
-    times = np.sort(np.asarray(time, dtype=float))[data.start]
+    w_risk = _suffix_sum(np.exp(x[order] @ fit.coef))[start]
+    values = np.cumsum(d / w_risk)
+    variance = np.cumsum(d / w_risk**2)  # Poisson-type, beta held fixed
+    times = np.asarray(time, dtype=float)[order[start]]
     return StepCurve(times=times, values=values, variance=variance,
-                     n_risk=data.n_risk, n_event=data.d, initial=0.0)
+                     n_risk=order.size - start, n_event=d, initial=0.0)
 
 
 def _json_number(x):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .frailty import MixtureArm, TwoArmTruth
+from .frailty import TwoArmTruth
 
 COUPLING_COMONOTONE = "comonotone"
 COUPLING_INDEPENDENT = "independent"

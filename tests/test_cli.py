@@ -170,6 +170,17 @@ class TestFitCommand:
         assert [p["start"] for p in payload["periods"]] == [0.0, 1.0, 4.0]
         assert all(p["fit"]["converged"] for p in payload["periods"])
 
+    def test_constant_covariate_period_written_as_null_fit(self, tmp_path):
+        # the one event before 1.5 is in arm 1: that period has no maximum
+        path = tmp_path / "early.csv"
+        path.write_text("id,arm,observed_time,event\n0,1,1.0,1\n1,0,2.0,1\n"
+                        "2,1,3.0,0\n3,0,4.0,1\n4,1,5.0,0\n5,1,6.0,1\n")
+        out = tmp_path / "fit"
+        assert run("fit", str(path), "--cutpoints", "1.5,10", "--out", str(out)) == 0
+        first, second = json.loads((out / "fit.json").read_text())["periods"]
+        assert (first["n_events"], first["fit"]) == (1, None)
+        assert second["n_events"] == 3 and second["fit"] is not None
+
     def test_unconverged_fit_is_data_not_failure(self, tmp_path):
         path = tmp_path / "sep.csv"
         rows = ["id,arm,observed_time,event"]
@@ -188,10 +199,14 @@ class TestFitCommand:
         assert run("fit", str(out / "dataset.csv"),
                    "--covariates", "arm,stratum") == 1
 
-    def test_empty_dataset_rejected(self, tmp_path):
+    def test_empty_dataset_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("id,arm,observed_time,event\n")
         assert run("fit", str(path)) == 1
+        assert capsys.readouterr().err.endswith(f"{path}: no data rows\n")
+        path.write_bytes(b"")
+        assert run("fit", str(path)) == 1
+        assert capsys.readouterr().err.endswith(f"{path}: empty file\n")
 
     def test_malformed_row_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -359,6 +374,27 @@ class TestEstimandsCommand:
         assert run("estimands", "--source", str(path), "--out", str(tmp_path / "est")) == 1
         assert capsys.readouterr().err.endswith("no events in arm 1\n")
 
+    def test_arm_without_observations_named(self, tmp_path, capsys):
+        path = tmp_path / "one_arm.csv"
+        path.write_text("id,arm,observed_time,event\n0,0,1.5,1\n1,0,2.5,1\n")
+        assert run("estimands", "--source", str(path), "--out", str(tmp_path / "est")) == 1
+        assert capsys.readouterr().err.endswith("no observations in arm 1\n")
+
+    def test_default_landmark_within_support(self, tmp_path):
+        # the pooled median time, 3.5, lies past arm 1's last observed time,
+        # 3: the landmark and the ratio time default to 3
+        path = tmp_path / "short_arm.csv"
+        rows = [f"{i},0,{i + 1}.0,1" for i in range(10)]
+        rows += ["10,1,0.5,1", "11,1,1.5,1", "12,1,2.5,1", "13,1,3.0,0"]
+        path.write_text("id,arm,observed_time,event\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "est"
+        assert run("estimands", "--source", str(path), "--out", str(out)) == 0
+        reports = {r["name"]: r for r in json.loads((out / "estimands.json").read_text())}
+        for name in ("landmark_difference", "rmst_difference", "log_survival_ratio"):
+            assert reports[name]["horizon"] == 3.0
+        assert reports["landmark_difference"]["per_arm"] == {"control": 0.7,
+                                                             "research": 0.25}
+
     def test_landmark_beyond_support_rejected(self, tmp_path):
         sim = tmp_path / "sim"
         run("simulate", "--out", str(sim))
@@ -427,6 +463,10 @@ class TestRejectedFlagsAndKeys:
         err = self.rejected(tmp_path, capsys, "estimands", "--sensitivity", spec)
         assert "--sensitivity: " in err and f"needs a finite {key} > 0" in err
 
+    def test_empty_censoring_spec_list(self, tmp_path, capsys):
+        err = self.rejected(tmp_path, capsys, "estimands", "--sensitivity", ",")
+        assert err.endswith("--sensitivity: empty censoring spec list\n")
+
     @pytest.mark.parametrize("flag, named", [("--rmst", "rmst horizon"),
                                              ("--landmark", "landmark time")])
     def test_non_finite_estimand_flag(self, tmp_path, capsys, flag, named):
@@ -451,6 +491,10 @@ class TestRejectedFlagsAndKeys:
          "[truth.control] all weights must be finite and > 0"),
         ("truth", "max = 30.0", "max = nan", "[grid] grid min and max must be finite"),
         ("truth", "max = 30.0", "max = inf", "[grid] grid min and max must be finite"),
+        ("simulate", "n_per_arm = 500", "n_per_arm = many",
+         "trial.n_per_arm: invalid integer 'many'"),
+        ("estimands", "sensitivity_replicates = 200", "sensitivity_replicates = 1",
+         "estimands.sensitivity_replicates must be >= 2"),
     ])
     def test_bad_config_key(self, dataset, tmp_path, capsys, command, old, new, cause):
         cfg = tmp_path / "bad.cfg"

@@ -72,6 +72,16 @@ class TestLandmarkContrast:
             with pytest.raises(ValueError, match="> 0"):
                 landmark_contrast(two_point_truth, t_star)
 
+    def test_ratio_with_zero_control_survival_named(self, two_point_truth):
+        # the truth's control survival underflows to 0 by t = 8000; the
+        # Kaplan-Meier control curve reaches 0 at its last event, t = 2
+        source = EstimatedCurves.from_sample([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 0],
+                                             [0, 0, 1, 1])
+        for source, t in ((two_point_truth, 8000.0), (source, 2.0)):
+            with pytest.raises(ValueError,
+                               match=f"ratio undefined at t={t:g}: control survival is 0"):
+                landmark_contrast(source, t, kind="ratio")
+
     def test_rejects_unknown_kind(self, two_point_truth):
         with pytest.raises(ValueError, match="kind"):
             landmark_contrast(two_point_truth, 1.0, kind="odds")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -235,6 +237,10 @@ class TestCoxFit:
         with pytest.raises(ValueError, match="constant among events"):
             cox_fit([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 0], [0.0, 0.0, 1.0, 1.0])
 
+    def test_fewer_covariate_rows_rejected(self):
+        with pytest.raises(ValueError, match="covariate rows must match"):
+            cox_fit(TIME6, EVENT6, X6[:5])
+
     def test_separation_flagged_not_raised(self):
         # covariate strictly decreasing in event order: monotone likelihood
         fit = cox_fit([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], [3.0, 2.0, 1.0, 0.0])
@@ -312,6 +318,13 @@ class TestStackedNewton:
                 assert np.isnan(log_hr[r]) and r % 10 == 2
         assert np.isfinite(log_hr[[8, 9, 18, 19]]).all()
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_arm_stack_rejects_time_not_above_zero(self, bad):
+        time = np.tile(TIME6, (2, 1))
+        time[1, 3] = bad
+        with pytest.raises(ValueError, match="> 0"):
+            cox_log_hr_stack(time, np.tile(EVENT6, (2, 1)), X6)
+
 
 # a 0/1 column with a 0 row next to a column whose x w overflows there while
 # w stays finite: (0 w) x_l = 0 but (x_l w) 0 = inf * 0 = nan, so the two
@@ -388,6 +401,12 @@ class TestPeriodSpecificCox:
         for a, n_in in zip(edges[:-1], pf.n_entered):
             assert n_in == int((ds.observed_time >= a).sum())
 
+    def test_constant_covariate_period_reported_not_raised(self):
+        # the one event before 1.5 has x = 1: no maximum in that period
+        pf = period_specific_cox(TIME6, EVENT6, X6, (1.5, 10.0), names=("x",))
+        assert pf.fits[0] is None and pf.n_events == (1, 3)
+        assert pf.fits[1] is not None
+
     def test_errors_other_than_constant_covariate_raise(self):
         with pytest.raises(ValueError, match="one covariate name per column"):
             period_specific_cox(TIME6, EVENT6, X6, (3.5, 10.0), names=("a", "b"))
@@ -436,3 +455,123 @@ class TestBreslowBaseline:
                      score_at_max=np.array([1.0]), n_events=4)
         with pytest.raises(ValueError, match="converged"):
             breslow_baseline(bad, TIME6, EVENT6, X6)
+
+    def test_more_columns_than_the_fit_rejected(self):
+        fit = cox_fit(TIME6, EVENT6, X6)
+        with pytest.raises(ValueError, match="columns do not match the fit"):
+            breslow_baseline(fit, TIME6, EVENT6, np.column_stack([X6, X6]))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7, -2.5])
+    def test_covariate_constant_among_events_hand_sums(self, beta):
+        # both events have x = 0: the partial likelihood has no maximum, but
+        # given beta the baseline is still d_j / sum_risk exp(x beta)
+        time, event, x = [4.0, 1.0, 3.0, 2.0], [0, 1, 0, 1], [1.0, 0.0, 1.0, 0.0]
+        fit = CoxFit(names=("x",), coef=np.array([beta]), se=np.ones(1),
+                     iterations=0, converged=True, loglik_at_max=0.0,
+                     score_at_max=np.zeros(1), n_events=2)
+        baseline = breslow_baseline(fit, time, event, x)
+        eb = np.exp(beta)
+        w_risk = np.array([2.0 + 2.0 * eb, 1.0 + 2.0 * eb])
+        assert np.array_equal(baseline.times, [1.0, 2.0])
+        assert np.array_equal(baseline.n_risk, [4, 3])
+        assert np.array_equal(baseline.n_event, [1, 1])
+        assert baseline.values == pytest.approx(np.cumsum(1.0 / w_risk), rel=1e-15)
+        assert baseline.variance == pytest.approx(np.cumsum(1.0 / w_risk**2), rel=1e-15)
+
+
+# events tied with each other and with censored rows, censored rows tied with
+# each other, and rows out of time order: every path of the sort and grouping
+TIED_TIME = np.array([2.0, 1.0, 3.0, 2.0, 5.5, 1.0, 2.0, 4.0, 3.0, 6.0, 2.0, 5.5,
+                      7.0, 3.0, 1.0, 4.0, 6.0, 0.5])
+TIED_EVENT = np.array([1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1],
+                      dtype=bool)
+TIED_ARM = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0,
+                     1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+TIED_SCORE = np.array([0.25, -1.5, 2.0, 0.75, -0.5, 1.25, 3.0, -2.25, 0.5, 1.0,
+                       -0.75, 2.5, 0.0, 1.75, -1.0, 0.125, 2.25, -0.25])
+
+
+def step_curve_digests(curve):
+    """sha256 of the dtype, shape and bytes of each array of a StepCurve."""
+    digests = {}
+    for name in ("times", "values", "variance", "n_risk", "n_event"):
+        a = np.ascontiguousarray(getattr(curve, name))
+        header = f"{a.dtype.str}{a.shape}".encode()
+        digests[name] = hashlib.sha256(header + a.tobytes()).hexdigest()
+    return digests
+
+
+def zero_fit(p):
+    return CoxFit(names=tuple(f"x{j}" for j in range(p)), coef=np.zeros(p),
+                  se=np.ones(p), iterations=0, converged=True, loglik_at_max=0.0,
+                  score_at_max=np.zeros(p), n_events=int(TIED_EVENT.sum()))
+
+
+def tied_step_curves():
+    """Every step estimator of the tied sample, by name."""
+    x1 = TIED_ARM
+    x2 = np.column_stack([TIED_ARM, TIED_SCORE])
+    fit1, fit2 = cox_fit(TIED_TIME, TIED_EVENT, x1), cox_fit(TIED_TIME, TIED_EVENT, x2)
+    assert fit1.converged and fit2.converged
+    return {
+        "kaplan_meier": kaplan_meier(TIED_TIME, TIED_EVENT),
+        "nelson_aalen": nelson_aalen(TIED_TIME, TIED_EVENT),
+        "breslow_1d_fitted": breslow_baseline(fit1, TIED_TIME, TIED_EVENT, x1),
+        "breslow_1d_zero": breslow_baseline(zero_fit(1), TIED_TIME, TIED_EVENT, x1),
+        "breslow_2d_fitted": breslow_baseline(fit2, TIED_TIME, TIED_EVENT, x2),
+        "breslow_2d_zero": breslow_baseline(zero_fit(2), TIED_TIME, TIED_EVENT, x2),
+    }
+
+
+# recorded from the estimators before they shared one sort-and-group step
+STEP_CURVE_DIGESTS = {
+    "kaplan_meier": {
+        "times": "18d1172c47208057111392b2dd695d47bf101feb6d02b5e104af0a0f18ad54ff",
+        "values": "8de471e1a8d3777ea17e47a8819e39d2ae10552ae8149ba0c987387a8e5cb6d7",
+        "variance": "98c2114167ef60f59c4b993583af63dce1d58dfebbf738527b503112b10ed631",
+        "n_risk": "07ddb63f2926deaab33ba8229e8478f2f7d645067c8111484d48b32eb1acae29",
+        "n_event": "cd16582099323f229f37139b940d124c1eae22171565ed7c86904619f4e242a9",
+    },
+    "nelson_aalen": {
+        "times": "18d1172c47208057111392b2dd695d47bf101feb6d02b5e104af0a0f18ad54ff",
+        "values": "3480ab1a7b0e9e5645892027bf9c9909f1fb7f350df2e9a7317c337436744729",
+        "variance": "15df3fd14767b9c6c5afc65c2504a4ffd29e0e3fe67a8f365df62a43ec350566",
+        "n_risk": "07ddb63f2926deaab33ba8229e8478f2f7d645067c8111484d48b32eb1acae29",
+        "n_event": "cd16582099323f229f37139b940d124c1eae22171565ed7c86904619f4e242a9",
+    },
+    "breslow_1d_fitted": {
+        "times": "18d1172c47208057111392b2dd695d47bf101feb6d02b5e104af0a0f18ad54ff",
+        "values": "265997c6852f8394adcfd295bacfa60ea6c0f38c57f8a654eb4920b2201109e5",
+        "variance": "adad8630606bca54e895982607281c49421f187b11e250923638d4d9efba88b5",
+        "n_risk": "07ddb63f2926deaab33ba8229e8478f2f7d645067c8111484d48b32eb1acae29",
+        "n_event": "cd16582099323f229f37139b940d124c1eae22171565ed7c86904619f4e242a9",
+    },
+    "breslow_1d_zero": {
+        "times": "18d1172c47208057111392b2dd695d47bf101feb6d02b5e104af0a0f18ad54ff",
+        "values": "3480ab1a7b0e9e5645892027bf9c9909f1fb7f350df2e9a7317c337436744729",
+        "variance": "15df3fd14767b9c6c5afc65c2504a4ffd29e0e3fe67a8f365df62a43ec350566",
+        "n_risk": "07ddb63f2926deaab33ba8229e8478f2f7d645067c8111484d48b32eb1acae29",
+        "n_event": "cd16582099323f229f37139b940d124c1eae22171565ed7c86904619f4e242a9",
+    },
+    "breslow_2d_fitted": {
+        "times": "18d1172c47208057111392b2dd695d47bf101feb6d02b5e104af0a0f18ad54ff",
+        "values": "f9f600f872d15e7aafc7041da2f2c8e8f0711326385d00da02306fc8ec99e8e4",
+        "variance": "f196a74d2baab2da7188358e13e67d8d32f61dbd4a89d3e21a8043d8c27b8754",
+        "n_risk": "07ddb63f2926deaab33ba8229e8478f2f7d645067c8111484d48b32eb1acae29",
+        "n_event": "cd16582099323f229f37139b940d124c1eae22171565ed7c86904619f4e242a9",
+    },
+    "breslow_2d_zero": {
+        "times": "18d1172c47208057111392b2dd695d47bf101feb6d02b5e104af0a0f18ad54ff",
+        "values": "3480ab1a7b0e9e5645892027bf9c9909f1fb7f350df2e9a7317c337436744729",
+        "variance": "15df3fd14767b9c6c5afc65c2504a4ffd29e0e3fe67a8f365df62a43ec350566",
+        "n_risk": "07ddb63f2926deaab33ba8229e8478f2f7d645067c8111484d48b32eb1acae29",
+        "n_event": "cd16582099323f229f37139b940d124c1eae22171565ed7c86904619f4e242a9",
+    },
+}
+
+
+class TestStepCurveBytes:
+    def test_arrays_keep_their_bytes(self):
+        got = {name: step_curve_digests(curve)
+               for name, curve in tied_step_curves().items()}
+        assert got == STEP_CURVE_DIGESTS
