@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import warnings
-from collections import namedtuple
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -24,9 +23,10 @@ from . import __version__
 from .config import _checked, default_config, load_config
 from .estimands import (EstimatedCurves, censoring_sensitivity, landmark_contrast,
                         log_survival_ratio, rmst)
-from .estimators import check_cutpoints, cox_fit, fit_report, period_specific_cox
+from .estimators import _check, check_cutpoints, cox_fit, fit_report, period_specific_cox
 from .frailty import default_grid, truth_curves
-from .trial import CensoringSpec, check_covariates, covariate_matrix, simulate
+from .trial import (_DATASET_COLUMNS, CensoringSpec, check_covariates, covariate_matrix,
+                    simulate)
 
 DATASET_FILE = "dataset.csv"
 CURVES_FILE = "curves.csv"
@@ -49,29 +49,6 @@ _FLOAT_FIELD = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|
 
 class InputError(ValueError):
     """Bad command line, config or data file; maps to exit code 1."""
-
-
-def _bad_time(values):
-    return ~np.isfinite(values) | (values <= 0.0)
-
-
-def _not_binary(values):
-    return (values != 0) & (values != 1)
-
-
-# The dataset columns in the order simulate writes them: each one's dtype,
-# whether only --reveal-latent writes it, and the rule its values must meet
-# with the mask of values that break it (_check_columns checks that no id repeats)
-_Column = namedtuple("_Column", "dtype latent rule broken")
-_DATASET_COLUMNS = {
-    "id": _Column(np.int64, False, None, None),
-    "arm": _Column(np.int64, False, "0 or 1", _not_binary),
-    "stratum": _Column(np.int64, True, ">= 0", lambda values: values < 0),
-    "potential_time_0": _Column(np.float64, True, "finite and > 0", _bad_time),
-    "potential_time_1": _Column(np.float64, True, "finite and > 0", _bad_time),
-    "observed_time": _Column(np.float64, False, "finite and > 0", _bad_time),
-    "event": _Column(np.int64, False, "0 or 1", _not_binary),
-}
 
 
 def _atomic_write(path, chunks):
@@ -296,12 +273,10 @@ def _check_columns(path, out):
 def _check_values(path, out, names):
     """Name the first row whose value breaks its column's rule."""
     for name in names:
-        _, _, rule, broken = _DATASET_COLUMNS[name]
-        bad = np.flatnonzero(broken(out[name]))
-        if bad.size:
-            row = bad[0]
-            raise InputError(f"{path} row {row + 2}: {name} must be {rule}, "
-                             f"got {out[name][row]:g}")
+        try:
+            _check(name, out[name], _DATASET_COLUMNS[name].rule, first_row=2)
+        except ValueError as err:
+            raise InputError(f"{path} {err}") from None
 
 
 def _write_json(path, payload):
@@ -448,7 +423,18 @@ def cmd_estimands(args):
             else min(median_followup, source.max_supported_time)
         rmst_tau = args.rmst if args.rmst is not None \
             else min(last_event, source.max_supported_time)
-        ratio_t = landmark_t
+        ratio_t = args.landmark
+        if ratio_t is None:
+            # the landmark, or else the earliest time by which both arms have
+            # had an event: the survivals only fall, so no later time can do
+            arms = (source.control, source.research)
+            for ratio_t in (landmark_t, max(arm.times[0] for arm in arms)):
+                if ratio_t <= source.max_supported_time \
+                        and all(0.0 < arm.at(ratio_t) < 1.0 for arm in arms):
+                    break
+            else:
+                raise InputError("no log-survival ratio time: the control and research "
+                                 "survivals are never both in (0, 1)")
 
     reports = [
         landmark_contrast(source, landmark_t, kind="difference"),

@@ -18,8 +18,9 @@ from . import rng
 # cox_fit_dataset and simulate are not called here: they are the
 # per-replicate reference of censoring_sensitivity, and perfbench/tracing.py
 # wraps them under these names
-from .estimators import StepCurve, cox_fit_dataset, cox_log_hr_stack, kaplan_meier
-from .frailty import TwoArmTruth, marginal_survival
+from .estimators import (StepCurve, _flags, _sample, cox_fit_dataset, cox_log_hr_stack,
+                         kaplan_meier)
+from .frailty import TwoArmTruth, cumulative_hazard, marginal_survival
 from .trial import censored_replicates, simulate
 
 SOURCE_TRUTH = "truth"
@@ -59,9 +60,8 @@ class EstimatedCurves:
 
     @classmethod
     def from_sample(cls, time, event, arm):
-        time = np.asarray(time, dtype=float)
-        event = np.asarray(event, dtype=bool)
-        arm = np.asarray(arm)
+        time, event = _sample(time, event)
+        arm = _flags("arm", arm)
         curves, max_times = [], []
         for z in (0, 1):
             mask = arm == z
@@ -102,14 +102,17 @@ def landmark_contrast(source, t_star, kind="difference"):
     s0, s1 = _survival_pair(source, t_star)
     if kind == "difference":
         value = s1 - s0
-    elif kind == "ratio":
-        if s0 == 0.0:
-            raise ValueError(f"landmark ratio undefined at t={t_star:g}: "
-                             "control survival is 0")
-        value = s1 / s0
-    else:
+    elif kind == "risk_difference":
         # (1-s1) - (1-s0) algebraically; written to negate `difference` exactly
         value = s0 - s1
+    elif isinstance(source, TwoArmTruth):
+        # the ratio as exp(H0 - H1) from the log domain, exact where S underflows
+        value = math.exp(cumulative_hazard(source.control, t_star)
+                         - cumulative_hazard(source.research, t_star))
+    elif s0 == 0.0:
+        raise ValueError(f"landmark ratio undefined at t={t_star:g}: control survival is 0")
+    else:
+        value = s1 / s0
     return EstimandReport(name=f"landmark_{kind}", source=_source_label(source),
                           horizon=float(t_star), value=float(value),
                           per_arm={"control": s0, "research": s1})

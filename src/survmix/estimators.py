@@ -82,6 +82,45 @@ class PeriodFit:
         return tuple(zip(edges[:-1], edges[1:]))
 
 
+# The rules of a right-censored sample, each as its text and the mask of the
+# values that break it; every entry point, and trial's dataset columns, use these
+_TIME = ("finite and > 0", lambda values: ~np.isfinite(values) | (values <= 0.0))
+_FLAG = ("0 or 1", lambda values: (values != 0) & (values != 1))
+_FINITE = ("finite", lambda values: ~np.isfinite(values))
+
+
+def _check(name, values, rule, first_row=0):
+    """Raise a ValueError naming the first of `values` that breaks `rule`:
+    its row, counted from `first_row` (and its sample, in a 2-d stack), and
+    its value. A rule of None, and a bool array under the 0/1 rule, pass unread."""
+    if rule is None or (rule is _FLAG and values.dtype == bool):
+        return
+    text, broken = rule
+    bad = np.flatnonzero(broken(values))
+    if bad.size:
+        index = np.unravel_index(bad[0], values.shape)
+        where = f"row {index[-1] + first_row}" + "".join(f" of sample {r}" for r in index[:-1])
+        raise ValueError(f"{where}: {name} must be {text}, got {values[index]:g}")
+
+
+def _flags(name, values):
+    """values as a bool array, once each is 0 or 1."""
+    values = np.asarray(values)
+    _check(name, values, _FLAG)
+    return values.astype(bool, copy=False)
+
+
+def _sample(time, event, ndim=1):
+    """time as floats and event as bool, once they meet the sample rules; the
+    times are read in full only when their least or greatest (or nan) breaks one."""
+    time, event = np.asarray(time, dtype=float), _flags("event", event)
+    if time.ndim != ndim or time.size == 0 or time.shape != event.shape:
+        raise ValueError(f"need matching non-empty {ndim}-d time and event arrays")
+    if _TIME[1](np.array([time.min(), time.max()])).any():
+        _check("time", time, _TIME)
+    return time, event
+
+
 class _ConstantCovariate(ValueError):
     """A covariate is constant among the events: no partial-likelihood maximum."""
 
@@ -103,12 +142,7 @@ def _sort_and_group(time, event):
     sorted row from start[j] on. Returns the stable sort order, the sorted
     event flags, start and the deaths d of each group.
     """
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=bool)
-    if time.ndim != 1 or time.size == 0 or time.shape != event.shape:
-        raise ValueError("need matching non-empty 1-d time and event arrays")
-    if not np.all(time > 0.0):
-        raise ValueError("all observation times must be > 0")
+    time, event = _sample(time, event)
     if not event.any():
         raise ValueError("sample contains no events")
     # stable: the Cox sums add tied rows in input order
@@ -128,6 +162,8 @@ def _covariate_columns(x, n):
         x = x[:, None]
     if x.shape[0] != n:
         raise ValueError("covariate rows must match the number of observations")
+    for j in range(x.shape[1]):
+        _check(f"covariate {j}", x[:, j], _FINITE)
     return x
 
 
@@ -270,9 +306,6 @@ class _ArmRiskSets:
     """
 
     def __init__(self, time, event, arm):
-        time = np.asarray(time, dtype=float)
-        if not np.all(time > 0.0):
-            raise ValueError("all observation times must be > 0")
         self.m, n = time.shape
         # flat position of each sample's sorted rows; no count depends on the
         # order of ties, so any sort will do
@@ -280,7 +313,7 @@ class _ArmRiskSets:
         order += np.arange(0, self.m * n, n)[:, None]
         time = np.take(time, order)
         # 2 * event + arm, one byte per row
-        code = 2 * np.asarray(event, dtype=bool).view(np.int8) + (np.asarray(arm) == 1)
+        code = 2 * event.view(np.int8) + arm
         code = np.take(code, order)
         del order
         arm_1 = code & 1
@@ -424,9 +457,8 @@ def cox_log_hr_stack(time, event, arm):
     events, or events in one arm only) or does not converge. All rows share
     one stacked Newton-Raphson solve.
     """
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=bool)
-    arm = np.broadcast_to(np.asarray(arm) == 1, time.shape)
+    time, event = _sample(time, event, ndim=2)
+    arm = np.broadcast_to(_flags("arm", arm), time.shape)
     events = event.sum(axis=1)
     arm_events = (event & arm).sum(axis=1)
     fitted = (arm_events > 0) & (arm_events < events)
@@ -454,9 +486,8 @@ def period_specific_cox(time, event, x, cutpoints, names=None):
     the rest at b. Periods without events, or with no covariate variation
     among events, are reported as empty fits rather than errors.
     """
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=bool)
-    x = np.asarray(x, dtype=float)
+    time, event = _sample(time, event)
+    x = _covariate_columns(x, time.size)
     cutpoints = check_cutpoints(cutpoints)
 
     fits, n_events, n_entered = [], [], []

@@ -16,11 +16,13 @@ parallelism cannot change a dataset.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
+from .estimators import _FLAG, _TIME, _check
 from .frailty import TwoArmTruth
 
 COUPLING_COMONOTONE = "comonotone"
@@ -39,6 +41,20 @@ CENSORING_KINDS = tuple(_CENSORING_PARAMETERS)
 COVARIATES = ("arm", "stratum")
 
 DEFAULT_N_PER_ARM = 500
+
+# The dataset columns in the order simulate writes them: each one's dtype,
+# whether only --reveal-latent writes it, and the rule its values must meet
+# (a dataset file's reader also checks that no id repeats)
+_Column = namedtuple("_Column", "dtype latent rule")
+_DATASET_COLUMNS = {
+    "id": _Column(np.int64, False, None),
+    "arm": _Column(np.int64, False, _FLAG),
+    "stratum": _Column(np.int64, True, (">= 0", lambda values: values < 0)),
+    "potential_time_0": _Column(np.float64, True, _TIME),
+    "potential_time_1": _Column(np.float64, True, _TIME),
+    "observed_time": _Column(np.float64, False, _TIME),
+    "event": _Column(np.int64, False, _FLAG),
+}
 
 
 @dataclass(frozen=True)
@@ -130,29 +146,23 @@ def covariate_matrix(columns, names):
 class Dataset:
     """Simulated trial data, stored column-wise; immutable after creation.
 
-    Columns: ids, arm, stratum, potential_time_0, potential_time_1,
-    observed_time, event.
+    One array per column of _DATASET_COLUMNS, each meeting its rule; the id
+    column is the attribute `ids`, and event is bool.
     """
-
-    _COLUMNS = ("ids", "arm", "stratum", "potential_time_0",
-                "potential_time_1", "observed_time", "event")
 
     def __init__(self, ids, arm, stratum, potential_time_0, potential_time_1,
                  observed_time, event, config):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.arm = np.asarray(arm, dtype=np.int64)
-        self.stratum = np.asarray(stratum, dtype=np.int64)
-        self.potential_time_0 = np.asarray(potential_time_0, dtype=float)
-        self.potential_time_1 = np.asarray(potential_time_1, dtype=float)
-        self.observed_time = np.asarray(observed_time, dtype=float)
-        self.event = np.asarray(event, dtype=bool)
         self.config = config
-        n = self.ids.size
-        for name in self._COLUMNS:
-            col = getattr(self, name)
-            if col.size != n:
-                raise ValueError(f"column {name} has length {col.size}, expected {n}")
-            col.flags.writeable = False
+        n = np.size(ids)
+        for (name, column), values in zip(_DATASET_COLUMNS.items(), (
+                ids, arm, stratum, potential_time_0, potential_time_1, observed_time, event)):
+            values = np.asarray(values)
+            if values.size != n:
+                raise ValueError(f"column {name} has length {values.size}, expected {n}")
+            _check(name, values, column.rule)
+            values = values.astype(bool if name == "event" else column.dtype, copy=False)
+            values.flags.writeable = False
+            setattr(self, "ids" if name == "id" else name, values)
 
     def __len__(self):
         return self.ids.size
@@ -161,8 +171,8 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return self.config == other.config and all(
-            np.array_equal(getattr(self, c), getattr(other, c))
-            for c in self._COLUMNS)
+            np.array_equal(value, getattr(other, name))
+            for name, value in vars(self).items() if name != "config")
 
     def covariate_matrix(self, names):
         """Covariate columns for regression, e.g. ('arm',) or ('arm', 'stratum')."""
@@ -191,8 +201,10 @@ def _potential_times(config, seed):
     e1 = e0
     if config.coupling == COUPLING_INDEPENDENT:
         e1 = -np.log(rng.substream_uniforms(seed, ids, rng.STREAM_EVENT_SECONDARY))
-    return (ids, arm, stratum, e0 / np.asarray(truth.control.rates)[stratum],
-            e1 / np.asarray(truth.research.rates)[stratum])
+    # a time past the largest float is inf, which the sample rules refuse
+    with np.errstate(over="ignore"):
+        return (ids, arm, stratum, e0 / np.asarray(truth.control.rates)[stratum],
+                e1 / np.asarray(truth.research.rates)[stratum])
 
 
 def _censor(seed, ids, arm, t0, t1, specs):

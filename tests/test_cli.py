@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survmix import CensoringSpec, Dataset, TrialConfig, simulate
+from survmix import CensoringSpec, TrialConfig, simulate
 from survmix import cli
 from survmix.cli import (InputError, _atomic_write, main, parse_censoring_list,
                          read_dataset_csv, write_curve_tables, write_dataset)
@@ -117,6 +117,15 @@ class TestSimulateCommand:
         run("simulate", "--out", str(c), "--seed", "99")
         assert read(a / "dataset.csv") == read(b / "dataset.csv")
         assert read(a / "dataset.csv") != read(c / "dataset.csv")
+
+    def test_potential_time_beyond_float_rejected(self, tmp_path, capsys):
+        # a rate of 1e-320 puts a unit-exponential time past the largest float:
+        # such times used to be written to a file that fit then rejected
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(default_config_text().replace("rates = 0.1, 0.5", "rates = 1e-320, 0.5"))
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+        assert "potential_time_0 must be finite and > 0, got inf\n" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "dataset.csv").exists()
 
     def test_round_trip_write_read_write(self, tmp_path):
         out = tmp_path / "out"
@@ -394,6 +403,32 @@ class TestEstimandsCommand:
             assert reports[name]["horizon"] == 3.0
         assert reports["landmark_difference"]["per_arm"] == {"control": 0.7,
                                                              "research": 0.25}
+
+    def test_default_ratio_time_where_both_survivals_are_below_one(self, tmp_path):
+        # arm 1 has no event by the landmark, the pooled median 7.5, where its
+        # survival is 1: the ratio time defaults to 8, its first event
+        path = tmp_path / "late_arm.csv"
+        rows = [f"{i},0,{i + 1},1" for i in range(10)]
+        rows += ["10,1,8,1", "11,1,9,1", "12,1,11,1", "13,1,10.5,0"]
+        path.write_text("id,arm,observed_time,event\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "est"
+        assert run("estimands", "--source", str(path), "--out", str(out)) == 0
+        reports = {r["name"]: r for r in json.loads((out / "estimands.json").read_text())}
+        assert reports["landmark_difference"]["horizon"] == 7.5
+        ratio = reports["log_survival_ratio"]
+        assert ratio["horizon"] == 8.0
+        assert ratio["per_arm"] == {"control": pytest.approx(0.2), "research": 0.75}
+        assert ratio["value"] == pytest.approx(np.log(0.75) / np.log(0.2), rel=1e-12)
+
+    def test_no_ratio_time_names_the_arms(self, tmp_path, capsys):
+        # the control arm's survival is 0 from t = 1, before the research
+        # arm's first event
+        path = tmp_path / "no_ratio.csv"
+        path.write_text("id,arm,observed_time,event\n0,0,1,1\n1,0,1,1\n2,1,2,1\n3,1,3,1\n")
+        assert run("estimands", "--source", str(path), "--out", str(tmp_path / "est")) == 1
+        assert capsys.readouterr().err == (
+            "survmix: error: no log-survival ratio time: the control and research "
+            "survivals are never both in (0, 1)\n")
 
     def test_landmark_beyond_support_rejected(self, tmp_path):
         sim = tmp_path / "sim"
@@ -753,8 +788,11 @@ class TestCsvLayer:
         floats = [np.resize(np.roll(SPECIAL_FLOATS, k), rows) for k in range(8)]
         ids = np.arange(rows) * 1_000_003
         arm, stratum, event = ids % 2, ids % 3, ids % 5 < 2
-        dataset = Dataset(ids, arm, stratum, floats[0], floats[1], floats[2], event,
-                          config=None)
+        # the writer's input as the attributes of a Dataset, whose own checks
+        # would refuse these times
+        dataset = SimpleNamespace(ids=ids, arm=arm, stratum=stratum,
+                                  potential_time_0=floats[0], potential_time_1=floats[1],
+                                  observed_time=floats[2], event=event)
 
         def reference(header, cells):
             return "".join(",".join(row) + "\n" for row in [header] + cells)

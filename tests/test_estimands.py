@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -72,15 +73,33 @@ class TestLandmarkContrast:
             with pytest.raises(ValueError, match="> 0"):
                 landmark_contrast(two_point_truth, t_star)
 
-    def test_ratio_with_zero_control_survival_named(self, two_point_truth):
-        # the truth's control survival underflows to 0 by t = 8000; the
-        # Kaplan-Meier control curve reaches 0 at its last event, t = 2
+    def test_ratio_with_zero_control_survival_named(self):
+        # the Kaplan-Meier control curve reaches 0 at its last event, t = 2
         source = EstimatedCurves.from_sample([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 0],
                                              [0, 0, 1, 1])
-        for source, t in ((two_point_truth, 8000.0), (source, 2.0)):
-            with pytest.raises(ValueError,
-                               match=f"ratio undefined at t={t:g}: control survival is 0"):
-                landmark_contrast(source, t, kind="ratio")
+        with pytest.raises(ValueError, match="ratio undefined at t=2: control survival is 0"):
+            landmark_contrast(source, 2.0, kind="ratio")
+
+    def test_truth_ratio_exact_where_survival_underflows(self, two_point_truth):
+        # by t = 8000 the control survival underflows to 0, while the ratio
+        # exp(H0 - H1) is exp(400)
+        report = landmark_contrast(two_point_truth, 8000.0, kind="ratio")
+        h0 = cumulative_hazard(two_point_truth.control, 8000.0)
+        h1 = cumulative_hazard(two_point_truth.research, 8000.0)
+        assert report.value == pytest.approx(math.exp(h0 - h1), rel=1e-12)
+        assert report.value == pytest.approx(math.exp(400.0), rel=1e-9)
+        assert report.per_arm == {"control": 0.0,
+                                  "research": marginal_survival(two_point_truth.research,
+                                                                8000.0)}
+
+    @pytest.mark.parametrize("arm, message", [
+        ([0, 1, 2, 0, 1, 2], "row 2: arm must be 0 or 1, got 2"),
+        ([0, 1, 0.5, 0, 1, 1], "row 2: arm must be 0 or 1, got 0.5"),
+    ])
+    def test_curves_reject_an_arm_other_than_0_or_1(self, arm, message):
+        # such rows were dropped without a word
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EstimatedCurves.from_sample([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1] * 6, arm)
 
     def test_rejects_unknown_kind(self, two_point_truth):
         with pytest.raises(ValueError, match="kind"):

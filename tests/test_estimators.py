@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -575,3 +576,128 @@ class TestStepCurveBytes:
         got = {name: step_curve_digests(curve)
                for name, curve in tied_step_curves().items()}
         assert got == STEP_CURVE_DIGESTS
+
+
+class TestSampleRules:
+    """Every entry point checks its sample through the rules of estimators:
+    the error names the rule, the first row that breaks it and its value."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: kaplan_meier([1.0, 2.0, 3.0], [1, 0.5, 2]),
+         "row 1: event must be 0 or 1, got 0.5"),
+        (lambda: kaplan_meier([1.0, 2.0, 3.0], [1, 0, 2]),
+         "row 2: event must be 0 or 1, got 2"),
+        (lambda: kaplan_meier([1.0, np.inf, 3.0], [1, 1, 1]),
+         "row 1: time must be finite and > 0, got inf"),
+        (lambda: nelson_aalen([1.0, 2.0, np.nan], [1, 1, 1]),
+         "row 2: time must be finite and > 0, got nan"),
+        (lambda: cox_fit(TIME6, EVENT6, np.where(TIME6 == 5.0, np.nan, X6)),
+         "row 4: covariate 0 must be finite, got nan"),
+        (lambda: cox_fit(np.where(TIME6 == 2.0, np.inf, TIME6), EVENT6, X6),
+         "row 1: time must be finite and > 0, got inf"),
+        (lambda: period_specific_cox(TIME6, [1, 0.5, 0, 1, 0, 1], X6, (3.5,)),
+         "row 1: event must be 0 or 1, got 0.5"),
+        (lambda: period_specific_cox(TIME6, EVENT6, np.where(TIME6 == 6.0, -np.inf, X6),
+                                     (3.5,)),
+         "row 5: covariate 0 must be finite, got -inf"),
+        (lambda: cox_log_hr_stack(np.tile(TIME6, (2, 1)), [EVENT6, [1, 1, 0, 2, 0, 1]], X6),
+         "row 3 of sample 1: event must be 0 or 1, got 2"),
+        (lambda: cox_log_hr_stack(np.tile(TIME6, (2, 1)), np.tile(EVENT6, (2, 1)),
+                                  [1, 0, 1, 0, 2, 1]),
+         "row 4: arm must be 0 or 1, got 2"),
+        (lambda: breslow_baseline(cox_fit(TIME6, EVENT6, X6), TIME6, EVENT6,
+                                  np.where(TIME6 == 3.0, np.nan, X6)),
+         "row 2: covariate 0 must be finite, got nan"),
+    ])
+    def test_bad_value_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_bad_time_named_in_input_order(self):
+        # the first bad row of the input, not of the sorted sample
+        time = [5.0, np.inf, 3.0, -1.0, 2.0]
+        with pytest.raises(ValueError, match="^row 1: time must be finite and > 0, got inf$"):
+            kaplan_meier(time, [1, 1, 1, 1, 1])
+
+    def test_bool_and_integer_flags_agree(self):
+        assert cox_fit(TIME6, EVENT6, X6).coef.tobytes() == \
+            cox_fit(TIME6, EVENT6.astype(int), X6).coef.tobytes()
+        time = np.tile(TIME6, (2, 1))
+        assert cox_log_hr_stack(time, np.tile(EVENT6, (2, 1)), X6.astype(bool)).tobytes() \
+            == cox_log_hr_stack(time, np.tile(EVENT6, (2, 1)).astype(float), X6).tobytes()
+
+
+@st.composite
+def samples(draw):
+    """A right-censored two-arm sample with one more covariate, often tied."""
+    n = draw(st.integers(2, 24))
+    times = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.5, 7.0]), st.floats(0.01, 100.0))
+    time = np.array(draw(st.lists(times, min_size=n, max_size=n)))
+    event = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    arm = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    z = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    assume(event.any())
+    return time, event, arm, z
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def curve_bytes(curve):
+    return [getattr(curve, name).tobytes()
+            for name in ("values", "variance", "n_risk", "n_event")]
+
+
+class TestMetamorphic:
+    @settings(max_examples=100, deadline=None)
+    @given(sample=samples())
+    def test_doubled_times_keep_every_estimate(self, sample):
+        time, event, arm, z = sample
+        x = np.column_stack([arm, z])
+        for estimator in (kaplan_meier, nelson_aalen):
+            curve, doubled = estimator(time, event), estimator(2.0 * time, event)
+            assert doubled.times.tobytes() == (2.0 * curve.times).tobytes()
+            assert curve_bytes(doubled) == curve_bytes(curve)
+        fit, doubled = outcome(cox_fit, time, event, x), outcome(cox_fit, 2.0 * time, event, x)
+        if isinstance(fit, str):
+            assert doubled == fit
+            return
+        assert doubled.coef.tobytes() == fit.coef.tobytes()
+        if fit.converged:
+            curve = breslow_baseline(fit, time, event, x)
+            doubled = breslow_baseline(doubled, 2.0 * time, event, x)
+            assert doubled.times.tobytes() == (2.0 * curve.times).tobytes()
+            assert curve_bytes(doubled) == curve_bytes(curve)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sample=samples())
+    def test_duplicated_rows_double_the_counts(self, sample):
+        time, event = sample[:2]
+        curve = kaplan_meier(time, event)
+        doubled = kaplan_meier(np.tile(time, 2), np.tile(event, 2))
+        assert doubled.times.tobytes() == curve.times.tobytes()
+        assert doubled.values.tobytes() == curve.values.tobytes()
+        assert np.array_equal(doubled.n_risk, 2 * curve.n_risk)
+        assert np.array_equal(doubled.n_event, 2 * curve.n_event)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sample=samples())
+    def test_relabelled_arm_negates_the_log_hr(self, sample):
+        time, event, arm = sample[:3]
+        fit, flipped = outcome(cox_fit, time, event, arm), outcome(cox_fit, time, event, 1 - arm)
+        if isinstance(fit, str):
+            assert isinstance(flipped, str)
+        else:
+            assert flipped.converged == fit.converged
+            if fit.converged:
+                assert flipped.log_hr == pytest.approx(-fit.log_hr, abs=1e-10)
+        stack = cox_log_hr_stack(time[None], event[None], arm)
+        flipped = cox_log_hr_stack(time[None], event[None], 1 - arm)
+        assert np.isnan(flipped[0]) == np.isnan(stack[0])
+        if np.isfinite(stack[0]):
+            assert flipped[0] == pytest.approx(-stack[0], abs=1e-10)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,25 @@ class TestSimulateStructure:
         ds = simulate(config_for(two_point_truth, n_per_arm=5))
         with pytest.raises(ValueError):
             ds.observed_time[0] = 1.0
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("arm", 2, "row 3: arm must be 0 or 1, got 2"),
+        ("arm", 0.5, "row 3: arm must be 0 or 1, got 0.5"),
+        ("event", 2, "row 3: event must be 0 or 1, got 2"),
+        ("stratum", -1, "row 3: stratum must be >= 0, got -1"),
+        ("potential_time_1", np.inf, "row 3: potential_time_1 must be finite and > 0, got inf"),
+        ("observed_time", 0.0, "row 3: observed_time must be finite and > 0, got 0"),
+    ])
+    def test_dataset_rejects_a_value_against_its_rule(self, column, value, message):
+        columns = {"ids": np.arange(4), "arm": [0, 0, 1, 1], "stratum": [0, 1, 0, 1],
+                   "potential_time_0": [1.0, 2.0, 3.0, 4.0],
+                   "potential_time_1": [2.0, 3.0, 4.0, 5.0],
+                   "observed_time": [1.0, 2.0, 4.0, 5.0], "event": [1, 1, 1, 1]}
+        Dataset(**columns, config=None)
+        columns[column] = np.array(columns[column], dtype=type(value))
+        columns[column][3] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(**columns, config=None)
 
 
 class TestDeterminism:
@@ -254,7 +274,7 @@ class TestCensoring:
         censored = apply_censoring(simulate(config), spec, config.seed)
         expected = simulate(replace(config, censoring=spec))
         assert censored.config == expected.config
-        for name in Dataset._COLUMNS:
+        for name in vars(expected).keys() - {"config"}:
             assert np.array_equal(getattr(censored, name), getattr(expected, name))
 
     def test_censoring_deterministic_per_seed(self, two_point_truth):
