@@ -401,7 +401,7 @@ def cmd_fit(args):
 
 def cmd_estimands(args):
     cfg = _load_run_config(args)
-    if args.sensitivity:
+    if args.sensitivity is not None:
         specs = _checked("--sensitivity:", parse_censoring_list, args.sensitivity)
 
     if args.source == "truth":
@@ -446,7 +446,7 @@ def cmd_estimands(args):
                        [asdict(r) for r in reports])
     written = [path]
 
-    if args.sensitivity:
+    if args.sensitivity is not None:
         rows = censoring_sensitivity(cfg.trial, specs, cfg.sensitivity_replicates)
         sens_path = os.path.join(out_dir, SENSITIVITY_FILE)
         header = ("spec_label", "mean_beta", "mc_se", "n_ok", "n_failed")

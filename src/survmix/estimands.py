@@ -9,7 +9,7 @@ closed-form truth or from Kaplan-Meier curves of a dataset.
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,7 @@ from . import rng
 # cox_fit_dataset and simulate are not called here: they are the
 # per-replicate reference of censoring_sensitivity, and perfbench/tracing.py
 # wraps them under these names
-from .estimators import (StepCurve, _flags, _sample, cox_fit_dataset, cox_log_hr_stack,
+from .estimators import (StepCurve, _arm, _sample, cox_fit_dataset, cox_log_hr_stack,
                          kaplan_meier)
 from .frailty import TwoArmTruth, cumulative_hazard, marginal_survival
 from .trial import censored_replicates, simulate
@@ -61,7 +61,7 @@ class EstimatedCurves:
     @classmethod
     def from_sample(cls, time, event, arm):
         time, event = _sample(time, event)
-        arm = _flags("arm", arm)
+        arm = _arm(arm, time.shape)
         curves, max_times = [], []
         for z in (0, 1):
             mask = arm == z
@@ -209,51 +209,26 @@ def _replicate_log_hrs(config, specs, replicates):
     """Arm-only Cox log-HR of every (spec, replicate) as a (specs, replicates)
     array; nan where the fit fails or does not converge.
 
-    With two blocks or more and two usable CPUs, one helper thread fits the
-    odd-numbered blocks while the caller fits the even ones: numpy releases
-    the GIL in its large loops. A block writes only its own columns, so the
-    array is the same whichever thread fits it.
+    The blocks are fitted on a pool of at most two threads, one per usable
+    CPU: numpy releases the GIL in its large loops. A block writes only its
+    own columns, so the array is the same whichever thread fits it.
     """
     seeds = rng.derive_seed(config.seed, np.arange(replicates))
     block = max(1, _BLOCK_ROWS // (2 * config.n_per_arm))
     log_hrs = np.empty((len(specs), replicates))
     firsts = range(0, replicates, block)
-    # set when either thread fails, so the other stops at its next block
-    # rather than fitting all of its own before the failure is raised
-    stop = threading.Event()
 
-    def fit_blocks(firsts):
-        for first in firsts:
-            if stop.is_set():
-                return
-            arm, censored = censored_replicates(config, seeds[first:first + block], specs)
-            for k, (observed, event) in enumerate(censored):
-                log_hrs[k, first:first + block] = cox_log_hr_stack(observed, event, arm)
+    def fit_block(first):
+        arm, censored = censored_replicates(config, seeds[first:first + block], specs)
+        for k, (observed, event) in enumerate(censored):
+            log_hrs[k, first:first + block] = cox_log_hr_stack(observed, event, arm)
 
-    if len(firsts) < 2 or _usable_cpus() < 2:
-        fit_blocks(firsts)
-        return log_hrs
-
-    helper_error = []
-
-    def helper():
-        try:
-            fit_blocks(firsts[1::2])
-        except BaseException as exc:  # re-raised by the caller after the join
-            helper_error.append(exc)
-            stop.set()
-
-    thread = threading.Thread(target=helper, name="survmix-replicates")
-    thread.start()
-    try:
-        fit_blocks(firsts[::2])
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        thread.join()
-    if helper_error:
-        raise helper_error[0]
+    # the first block, in order, that raises: its error is raised once the
+    # blocks before it end, and the blocks not yet started are cancelled
+    with ThreadPoolExecutor(min(2, len(firsts), _usable_cpus()),
+                            thread_name_prefix="survmix-replicates") as pool:
+        for _ in pool.map(fit_block, firsts):
+            pass
     return log_hrs
 
 
@@ -266,10 +241,9 @@ def censoring_sensitivity(config, specs, replicates):
     replicate's potential outcomes are drawn once and re-censored under every
     spec, and a block of replicates is fitted in one stacked Newton solve;
     each log-HR equals cox_fit_dataset(simulate(...)) of its replicate to
-    rounding. When two CPUs are usable and there are two blocks or more, one
-    helper thread fits every other block alongside the calling thread; the
-    rows are byte-identical either way. Replicates whose fit fails or does
-    not converge are excluded and counted.
+    rounding. The blocks are fitted on at most two threads, one per usable
+    CPU; the rows are byte-identical with one thread or two. Replicates
+    whose fit fails or does not converge are excluded and counted.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")

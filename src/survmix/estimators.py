@@ -110,6 +110,15 @@ def _flags(name, values):
     return values.astype(bool, copy=False)
 
 
+def _arm(arm, shape):
+    """arm as a bool array of the times' `shape`, once each entry is 0 or 1:
+    one entry per row, or one row that every sample of a stack shares."""
+    arm = np.asarray(arm)
+    if arm.shape not in (shape, shape[-1:]):
+        raise ValueError(f"arm has shape {arm.shape} but the times have shape {shape}")
+    return np.broadcast_to(_flags("arm", arm), shape)
+
+
 def _sample(time, event, ndim=1):
     """time as floats and event as bool, once they meet the sample rules; the
     times are read in full only when their least or greatest (or nan) breaks one."""
@@ -458,7 +467,7 @@ def cox_log_hr_stack(time, event, arm):
     one stacked Newton-Raphson solve.
     """
     time, event = _sample(time, event, ndim=2)
-    arm = np.broadcast_to(_flags("arm", arm), time.shape)
+    arm = _arm(arm, time.shape)
     events = event.sum(axis=1)
     arm_events = (event & arm).sum(axis=1)
     fitted = (arm_events > 0) & (arm_events < events)

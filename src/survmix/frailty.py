@@ -79,10 +79,11 @@ def check_grid(grid):
 
 
 def _as_times(t):
-    """Validate times >= 0; returns (array, was_scalar)."""
+    """Validate finite times >= 0; returns (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError(f"time must be >= 0, got {t!r}")
+    # nan fails both comparisons
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise ValueError(f"time must be finite and >= 0, got {t!r}")
     return arr, arr.ndim == 0
 
 

@@ -6,6 +6,8 @@ function is SplitMix64 (Steele, Lea & Flood 2014), applied as a keyed hash over
 the (seed, id, stream) triple.
 """
 
+import operator
+
 import numpy as np
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -28,8 +30,12 @@ def _mix64(z):
 
 
 def check_seed(seed):
-    """The seed as a uint64; it must lie in [0, 2**64)."""
-    if not (0 <= int(seed) < 2**64):
+    """The seed as a uint64; it must be an integer in [0, 2**64)."""
+    try:
+        valid = 0 <= operator.index(seed) < 2**64
+    except TypeError:  # not an integer: a float, even a whole one, or a string
+        valid = False
+    if not valid:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return np.uint64(seed)
 

@@ -16,6 +16,7 @@ parallelism cannot change a dataset.
 """
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -106,6 +107,8 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.n_per_arm, numbers.Integral):
+            raise ValueError(f"n_per_arm must be an integer, got {self.n_per_arm}")
         if self.n_per_arm < 1:
             raise ValueError("n_per_arm must be >= 1")
         if self.coupling not in COUPLINGS:
@@ -157,8 +160,8 @@ class Dataset:
         for (name, column), values in zip(_DATASET_COLUMNS.items(), (
                 ids, arm, stratum, potential_time_0, potential_time_1, observed_time, event)):
             values = np.asarray(values)
-            if values.size != n:
-                raise ValueError(f"column {name} has length {values.size}, expected {n}")
+            if values.shape != (n,):
+                raise ValueError(f"column {name} has shape {values.shape}, expected ({n},)")
             _check(name, values, column.rule)
             values = values.astype(bool if name == "event" else column.dtype, copy=False)
             values.flags.writeable = False

@@ -499,8 +499,9 @@ class TestRejectedFlagsAndKeys:
         assert "--sensitivity: " in err and f"needs a finite {key} > 0" in err
 
     def test_empty_censoring_spec_list(self, tmp_path, capsys):
-        err = self.rejected(tmp_path, capsys, "estimands", "--sensitivity", ",")
-        assert err.endswith("--sensitivity: empty censoring spec list\n")
+        for spec in (",", ""):
+            err = self.rejected(tmp_path, capsys, "estimands", "--sensitivity", spec)
+            assert err.endswith("--sensitivity: empty censoring spec list\n")
 
     @pytest.mark.parametrize("flag, named", [("--rmst", "rmst horizon"),
                                              ("--landmark", "landmark time")])

@@ -16,6 +16,7 @@ from survmix import (CensoringSpec, EstimatedCurves, MixtureArm, TrialConfig,
                      log_survival_ratio, marginal_survival, rmst, simulate)
 from survmix.estimators import cox_log_hr_stack
 from survmix.rng import derive_seed
+from survmix.trial import censored_replicates
 
 from conftest import mixture_arms
 
@@ -330,31 +331,39 @@ class TestBatchedReplicatesMatchReference:
             assert np.isnan(expected).any()
 
 
+def replicate_threads():
+    return sum(t.name.startswith("survmix-replicates") for t in threading.enumerate())
+
+
 class TestReplicateThreads:
-    """_replicate_log_hrs fits odd blocks on one helper thread when two CPUs
-    are usable; blocks of 4 replicates, the caller owning blocks 0, 2, ..."""
+    """_replicate_log_hrs fits its blocks of 4 replicates on a pool of at most
+    two survmix-replicates threads, one per usable CPU."""
     SPECS = TestBatchedReplicatesMatchReference.SPECS + [
         CensoringSpec("administrative", admin_time=1e-6)]  # no events: nan
     N_PER_ARM, BLOCK = 40, 4
 
-    def run(self, config, monkeypatch, cpus, replicates, fail_in=None):
-        """The log-HRs with `cpus` usable CPUs, and per cox_log_hr_stack call
-        whether the caller made it and the live thread count; the first call
-        made by `fail_in` ("caller" or "helper") raises."""
+    def run(self, config, monkeypatch, cpus, replicates, error=None, fail_at=None):
+        """The log-HRs with `cpus` usable CPUs, and the live replicate threads
+        at each cox_log_hr_stack call; block `fail_at` raises `error`."""
         monkeypatch.setattr(estimands, "_BLOCK_ROWS", self.BLOCK * 2 * self.N_PER_ARM)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        calls = []
+        failing_seed = None if fail_at is None \
+            else derive_seed(config.seed, fail_at * self.BLOCK)
+        alive = []
+
+        def failing_replicates(config, seeds, specs):
+            if seeds[0] == failing_seed:
+                raise error
+            return censored_replicates(config, seeds, specs)
 
         def recording_fit(observed, event, arm):
-            by_caller = threading.current_thread() is threading.main_thread()
-            calls.append((by_caller, threading.active_count()))
-            if fail_in == ("caller" if by_caller else "helper"):
-                raise ValueError(f"fit failed in the {fail_in}")
+            alive.append(replicate_threads())
             return cox_log_hr_stack(observed, event, arm)
 
+        monkeypatch.setattr(estimands, "censored_replicates", failing_replicates)
         monkeypatch.setattr(estimands, "cox_log_hr_stack", recording_fit)
-        return estimands._replicate_log_hrs(config, self.SPECS, replicates), calls
+        return estimands._replicate_log_hrs(config, self.SPECS, replicates), alive
 
     @pytest.mark.parametrize("coupling", ["comonotone", "independent"])
     @pytest.mark.parametrize("blocks", [1, 2, 3])
@@ -362,28 +371,28 @@ class TestReplicateThreads:
         config = TrialConfig(truth=two_point_truth, n_per_arm=self.N_PER_ARM,
                              coupling=coupling, seed=95)
         replicates = self.BLOCK * blocks - 1  # a short last block
-        before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the two threads finely
         try:
-            threaded, calls = self.run(config, monkeypatch, 2, replicates)
+            threaded, alive = self.run(config, monkeypatch, 2, replicates)
         finally:
             sys.setswitchinterval(interval)
-        serial, serial_calls = self.run(config, monkeypatch, 1, replicates)
+        assert replicate_threads() == 0
+        serial, serial_alive = self.run(config, monkeypatch, 1, replicates)
+        assert replicate_threads() == 0
         np.testing.assert_array_equal(threaded, serial)
         assert np.isnan(serial[-1]).all() and np.isfinite(serial[0]).all()
-        assert len(calls) == len(serial_calls) == blocks * len(self.SPECS)
-        assert all(by_caller for by_caller, _ in serial_calls)
-        helper_calls = sum(not by_caller for by_caller, _ in calls)
-        assert helper_calls == (blocks // 2) * len(self.SPECS)
-        assert max(alive for _, alive in calls + serial_calls) <= before + 1
-        assert threading.active_count() == before
+        assert len(alive) == len(serial_alive) == blocks * len(self.SPECS)
+        assert 1 <= min(alive) and max(alive) <= min(2, blocks)
+        assert set(serial_alive) == {1}
 
-    @pytest.mark.parametrize("fail_in", ["caller", "helper"])
-    def test_error_propagates_and_helper_is_joined(self, two_point_truth, monkeypatch,
-                                                  fail_in):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fail_at", [0, 2], ids=["first", "later"])
+    def test_error_propagates_and_threads_end(self, two_point_truth, monkeypatch,
+                                              fail_at, cpus):
         config = TrialConfig(truth=two_point_truth, n_per_arm=self.N_PER_ARM, seed=96)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match=f"^fit failed in the {fail_in}$"):
-            self.run(config, monkeypatch, 2, 4 * self.BLOCK, fail_in=fail_in)
-        assert threading.active_count() == before
+        error = ValueError(f"block {fail_at} failed")
+        with pytest.raises(ValueError) as raised:
+            self.run(config, monkeypatch, cpus, 4 * self.BLOCK, error, fail_at)
+        assert raised.value is error
+        assert replicate_threads() == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from survmix import (CoxFit, MixtureArm, TrialConfig, TwoArmTruth,
+from survmix import (CoxFit, EstimatedCurves, MixtureArm, TrialConfig, TwoArmTruth,
                      breslow_baseline, cox_fit, cox_fit_dataset, fit_report,
                      kaplan_meier, marginal_density, marginal_survival,
                      nelson_aalen, period_specific_cox, simulate)
@@ -580,7 +580,8 @@ class TestStepCurveBytes:
 
 class TestSampleRules:
     """Every entry point checks its sample through the rules of estimators:
-    the error names the rule, the first row that breaks it and its value."""
+    the error names the rule, the first row that breaks it and its value, or
+    an arm's shape and the times'."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda: kaplan_meier([1.0, 2.0, 3.0], [1, 0.5, 2]),
@@ -608,6 +609,13 @@ class TestSampleRules:
         (lambda: breslow_baseline(cox_fit(TIME6, EVENT6, X6), TIME6, EVENT6,
                                   np.where(TIME6 == 3.0, np.nan, X6)),
          "row 2: covariate 0 must be finite, got nan"),
+        (lambda: EstimatedCurves.from_sample([1.0, 2.0, 3.0], [1, 1, 1], [0, 1]),
+         "arm has shape (2,) but the times have shape (3,)"),
+        (lambda: cox_log_hr_stack(np.tile(TIME6, (2, 1)), np.tile(EVENT6, (2, 1)), X6[:5]),
+         "arm has shape (5,) but the times have shape (2, 6)"),
+        (lambda: cox_log_hr_stack(np.tile(TIME6, (2, 1)), np.tile(EVENT6, (2, 1)),
+                                  np.tile(X6, (3, 1))),
+         "arm has shape (3, 6) but the times have shape (2, 6)"),
     ])
     def test_bad_value_named(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -440,3 +441,13 @@ def test_default_grid_shape():
     assert grid.size == 601
     assert grid[0] == 0.0 and grid[-1] == 30.0
     assert np.allclose(np.diff(grid), 0.05)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, [1.0, np.inf]], ids=["nan", "inf", "array-inf"])
+@pytest.mark.parametrize("curve", [marginal_survival, cumulative_hazard, marginal_hazard,
+                                   marginal_density, survivor_composition])
+def test_non_finite_time_rejected(two_point_truth, curve, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the error
+        with pytest.raises(ValueError, match="^time must be finite and >= 0, got "):
+            curve(two_point_truth.control, t)

@@ -88,7 +88,7 @@ def test_write_holds_one_block(dataset, tmp_path):
 def test_sensitivity_holds_one_block_per_thread(monkeypatch, cpus):
     # one block of replicates: its potential and censored times, the sorted
     # risk-set counts and the Newton work buffer, about 79 bytes a block row
-    # measured; with two usable CPUs the helper thread holds a second block
+    # measured; with two usable CPUs each of the pool's two threads holds one
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     config = TrialConfig(truth=default_config().truth, n_per_arm=500, seed=12)

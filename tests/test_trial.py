@@ -62,6 +62,13 @@ class TestCensoringSpecValidation:
         assert CensoringSpec("both", admin_time=2.0, rate=0.1).label() == "admin@2+exp@0.1"
 
 
+def four_row_columns():
+    """The columns of a valid four-row Dataset."""
+    return {"ids": np.arange(4), "arm": [0, 0, 1, 1], "stratum": [0, 1, 0, 1],
+            "potential_time_0": [1.0, 2.0, 3.0, 4.0], "potential_time_1": [2.0, 3.0, 4.0, 5.0],
+            "observed_time": [1.0, 2.0, 4.0, 5.0], "event": [1, 1, 1, 1]}
+
+
 class TestTrialConfigValidation:
     def test_positive_n(self, two_point_truth):
         with pytest.raises(ValueError, match="n_per_arm"):
@@ -76,6 +83,15 @@ class TestTrialConfigValidation:
             TrialConfig(truth=two_point_truth, seed=-1)
         with pytest.raises(ValueError, match="seed"):
             TrialConfig(truth=two_point_truth, seed=2**64)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_per_arm", 2.5, "n_per_arm must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be a 64-bit unsigned integer, got 1.5"),
+        ("seed", 1.0, "seed must be a 64-bit unsigned integer, got 1.0"),
+    ])
+    def test_integer_field_rejects_a_float(self, two_point_truth, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrialConfig(truth=two_point_truth, **{field: value})
 
     def test_arms_must_share_stratum_weights(self):
         truth = TwoArmTruth(
@@ -118,13 +134,21 @@ class TestSimulateStructure:
         ("observed_time", 0.0, "row 3: observed_time must be finite and > 0, got 0"),
     ])
     def test_dataset_rejects_a_value_against_its_rule(self, column, value, message):
-        columns = {"ids": np.arange(4), "arm": [0, 0, 1, 1], "stratum": [0, 1, 0, 1],
-                   "potential_time_0": [1.0, 2.0, 3.0, 4.0],
-                   "potential_time_1": [2.0, 3.0, 4.0, 5.0],
-                   "observed_time": [1.0, 2.0, 4.0, 5.0], "event": [1, 1, 1, 1]}
+        columns = four_row_columns()
         Dataset(**columns, config=None)
         columns[column] = np.array(columns[column], dtype=type(value))
         columns[column][3] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(**columns, config=None)
+
+    @pytest.mark.parametrize("column, values, message", [
+        ("arm", [[0, 0], [1, 1]], "column arm has shape (2, 2), expected (4,)"),
+        ("event", [1, 1, 1], "column event has shape (3,), expected (4,)"),
+        ("ids", [[0, 1], [2, 3]], "column id has shape (2, 2), expected (4,)"),
+    ])
+    def test_dataset_rejects_a_column_of_another_shape(self, column, values, message):
+        columns = four_row_columns()
+        columns[column] = values
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset(**columns, config=None)
 
