@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .config import _checked, default_config, load_config
+from .config import _checked, _parse_floats, default_config, load_config
 from .estimands import (EstimatedCurves, censoring_sensitivity, landmark_contrast,
                         log_survival_ratio, rmst)
 from .estimators import _check, check_cutpoints, cox_fit, fit_report, period_specific_cox
@@ -308,7 +308,7 @@ def parse_censoring_list(raw):
                         f"bad censoring spec {token!r}; use none, admin:<t>, "
                         "exp:<rate> or admin:<t>+exp:<rate>"
                     ) from None
-        specs.append(CensoringSpec.from_parameters(admin_time, rate))
+        specs.append(CensoringSpec(admin_time, rate))
     if not specs:
         raise InputError("empty censoring spec list")
     return specs
@@ -354,7 +354,8 @@ def cmd_fit(args):
     else:
         covariates = cfg.covariates
     if args.cutpoints is not None:
-        cutpoints = _checked("--cutpoints:", check_cutpoints, args.cutpoints.split(","))
+        cutpoints = _checked("--cutpoints:", check_cutpoints,
+                             _parse_floats(args.cutpoints, "--cutpoints"))
     else:
         cutpoints = cfg.cutpoints
     columns = read_dataset_csv(args.dataset)
@@ -491,7 +492,8 @@ def build_parser():
     p_fit.add_argument("--covariates",
                        help="arm or arm,stratum (default from config)")
     p_fit.add_argument("--cutpoints",
-                       help="comma-separated period boundaries for period fits")
+                       help="period boundaries for period fits, separated by "
+                            "commas or spaces")
     p_fit.set_defaults(func=cmd_fit)
 
     p_est = sub.add_parser("estimands", help="landmark/RMST/log-survival-ratio "

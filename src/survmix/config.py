@@ -14,7 +14,7 @@ from importlib import resources
 from .estimands import _check_time
 from .estimators import check_cutpoints
 from .frailty import MixtureArm, TwoArmTruth, default_grid
-from .trial import CensoringSpec, TrialConfig, check_covariates
+from .trial import CENSORING_KINDS, CensoringSpec, TrialConfig, check_covariates
 
 DEFAULT_SEED = 20260808
 
@@ -36,7 +36,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    truth: TwoArmTruth
+    """A parsed run configuration; its truth is that of its trial."""
+
     trial: TrialConfig
     grid_min: float
     grid_max: float
@@ -48,6 +49,10 @@ class RunConfig:
     ratio_time: float
     sensitivity_replicates: int
     out_dir: str
+
+    @property
+    def truth(self):
+        return self.trial.truth
 
 
 def _parse_floats(raw, field):
@@ -115,10 +120,16 @@ def _run_config(parser):
 
     censoring = _checked(
         "[censoring]", CensoringSpec,
-        kind=_get(parser, "censoring", "kind", str, "none"),
         admin_time=_get(parser, "censoring", "admin_time", float, None, "number"),
         rate=_get(parser, "censoring", "rate", float, None, "number"),
     )
+    kind = _get(parser, "censoring", "kind", str, "none")
+    if kind not in CENSORING_KINDS:
+        raise ConfigError(f"[censoring] censoring kind must be one of {CENSORING_KINDS}, "
+                          f"got {kind!r}")
+    if kind != censoring.kind:
+        raise ConfigError(f"[censoring] kind {kind!r} disagrees with the parameters "
+                          f"given, which make it {censoring.kind!r}")
     trial = _checked(
         "[trial]", TrialConfig,
         truth=truth,
@@ -153,7 +164,6 @@ def _run_config(parser):
         raise ConfigError("estimands.sensitivity_replicates must be >= 2")
 
     return RunConfig(
-        truth=truth,
         trial=trial,
         grid_min=grid_min,
         grid_max=grid_max,

@@ -8,6 +8,7 @@ closed-form truth or from Kaplan-Meier curves of a dataset.
 """
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,7 +47,8 @@ class EstimandReport:
     def __post_init__(self):
         _check_time(self.horizon, "estimand horizon")
         if not math.isfinite(self.value):
-            raise ValueError(f"estimand {self.name} is not finite: {self.value}")
+            raise ValueError(f"estimand {self.name} at t={self.horizon:g} is not finite: "
+                             f"{self.value}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,13 @@ def landmark_contrast(source, t_star, kind="difference"):
         # (1-s1) - (1-s0) algebraically; written to negate `difference` exactly
         value = s0 - s1
     elif isinstance(source, TwoArmTruth):
-        # the ratio as exp(H0 - H1) from the log domain, exact where S underflows
-        value = math.exp(cumulative_hazard(source.control, t_star)
-                         - cumulative_hazard(source.research, t_star))
+        # the ratio as exp(H0 - H1) from the log domain, exact where S
+        # underflows; past the largest float it is inf, which the report refuses
+        try:
+            value = math.exp(cumulative_hazard(source.control, t_star)
+                             - cumulative_hazard(source.research, t_star))
+        except OverflowError:
+            value = math.inf
     elif s0 == 0.0:
         raise ValueError(f"landmark ratio undefined at t={t_star:g}: control survival is 0")
     else:
@@ -245,6 +251,8 @@ def censoring_sensitivity(config, specs, replicates):
     CPU; the rows are byte-identical with one thread or two. Replicates
     whose fit fails or does not converge are excluded and counted.
     """
+    if not isinstance(replicates, numbers.Integral):
+        raise ValueError(f"replicates must be an integer, got {replicates!r}")
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     rows = []

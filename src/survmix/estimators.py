@@ -34,8 +34,11 @@ class StepCurve:
     initial: float = 1.0
 
     def at(self, t):
-        """Evaluate the step function at scalar or array times."""
+        """Evaluate the step function at scalar or array times; a nan time
+        has no step and raises."""
         t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            raise ValueError(f"step curve time must not be nan, got {t}")
         idx = np.searchsorted(self.times, t, side="right") - 1
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial)
         return float(out) if t.ndim == 0 else out

@@ -24,6 +24,7 @@ same bits on any grid, in any block and as a scalar.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,7 +225,7 @@ def limit_hazard_ratio(truth):
 
 @dataclass(frozen=True)
 class CurveTable:
-    """Gridded truth curves for both arms plus the pointwise hazard ratio."""
+    """Gridded truth curves for both arms; hazard_ratio is research / control."""
 
     grid: np.ndarray
     survival_control: np.ndarray
@@ -233,7 +234,6 @@ class CurveTable:
     hazard_research: np.ndarray
     cum_hazard_control: np.ndarray
     cum_hazard_research: np.ndarray
-    hazard_ratio: np.ndarray
 
     def __post_init__(self):
         grid = check_grid(self.grid)
@@ -266,6 +266,10 @@ class CurveTable:
     def __len__(self):
         return self.grid.size
 
+    @property
+    def hazard_ratio(self):
+        return self.hazard_research / self.hazard_control
+
 
 def truth_curves(truth, grid):
     """Tabulate survival, hazard, cumulative hazard and the HR on a time grid."""
@@ -274,8 +278,7 @@ def truth_curves(truth, grid):
     for label in (ARM_CONTROL, ARM_RESEARCH):
         (columns[f"survival_{label}"], columns[f"cum_hazard_{label}"],
          columns[f"hazard_{label}"]) = _mixture(getattr(truth, label), grid)
-    return CurveTable(grid=grid, hazard_ratio=columns["hazard_research"]
-                      / columns["hazard_control"], **columns)
+    return CurveTable(grid=grid, **columns)
 
 
 def default_grid(t_min=0.0, t_max=30.0, points=601):
@@ -283,4 +286,6 @@ def default_grid(t_min=0.0, t_max=30.0, points=601):
     t_min, t_max = float(t_min), float(t_max)
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise ValueError(f"grid min and max must be finite, got {t_min:g} and {t_max:g}")
-    return check_grid(np.linspace(t_min, t_max, int(points)))
+    if not isinstance(points, numbers.Integral):
+        raise ValueError(f"grid points must be an integer, got {points!r}")
+    return check_grid(np.linspace(t_min, t_max, points))

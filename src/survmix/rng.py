@@ -40,14 +40,18 @@ def check_seed(seed):
     return np.uint64(seed)
 
 
-def _keyed_bits(seed, ids, stream):
+def _keyed_bits(seed, ids, stream, what):
     """The SplitMix64 hash of every (seed, id, stream), as uint64; `seed` and
-    `ids` broadcast as in substream_uniforms."""
+    `ids` broadcast as in substream_uniforms. The ids, which a ValueError
+    calls `what`, must be integer and >= 0."""
     if np.ndim(seed) == 0:
         key = check_seed(seed)
     else:
         key = np.array([check_seed(s) for s in seed], dtype=np.uint64)
-    ids = np.asarray(ids, dtype=np.uint64)
+    ids = np.asarray(ids)
+    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0):
+        raise ValueError(f"{what} must be integer and >= 0, got {ids}")
+    ids = ids.astype(np.uint64, copy=False)
     with np.errstate(over="ignore"):
         z = _mix64(key + _GAMMA * np.uint64(stream + 1))
         return _mix64((ids + np.uint64(1)) * _GAMMA + z.reshape(z.shape + (1,) * ids.ndim))
@@ -61,7 +65,7 @@ def substream_uniforms(seed, ids, stream):
     value at a given (seed, id, stream) never depends on which other seeds
     and ids are being generated alongside it.
     """
-    bits = _keyed_bits(seed, ids, stream)
+    bits = _keyed_bits(seed, ids, stream, "ids")
     # 53 high bits, offset by half an ulp: strictly inside (0, 1)
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
@@ -72,5 +76,5 @@ def derive_seed(seed, index):
     A 1-d array of indices gives the child seeds as a uint64 array, each
     equal to the call with that index alone.
     """
-    bits = _keyed_bits(seed, index, STREAM_REPLICATE)
+    bits = _keyed_bits(seed, index, STREAM_REPLICATE, "index")
     return bits if np.ndim(index) else int(bits)

@@ -30,14 +30,8 @@ COUPLING_COMONOTONE = "comonotone"
 COUPLING_INDEPENDENT = "independent"
 COUPLINGS = (COUPLING_INDEPENDENT, COUPLING_COMONOTONE)
 
-# kind -> (uses admin_time, uses rate)
-_CENSORING_PARAMETERS = {
-    "none": (False, False),
-    "administrative": (True, False),
-    "exponential": (False, True),
-    "both": (True, True),
-}
-CENSORING_KINDS = tuple(_CENSORING_PARAMETERS)
+# a CensoringSpec's kind, at index (admin_time is set) + 2 * (rate is set)
+CENSORING_KINDS = ("none", "administrative", "exponential", "both")
 
 COVARIATES = ("arm", "stratum")
 
@@ -60,33 +54,23 @@ _DATASET_COLUMNS = {
 
 @dataclass(frozen=True)
 class CensoringSpec:
-    """Right-censoring mechanism applied on top of the potential event times."""
+    """Right-censoring on top of the potential event times: at admin_time, at
+    an independent Exponential(rate) time, or at the earlier of the two. Each
+    is None or finite and > 0; the kind follows from which are set."""
 
-    kind: str = "none"
     admin_time: float = None
     rate: float = None
 
     def __post_init__(self):
-        if self.kind not in CENSORING_KINDS:
-            raise ValueError(f"censoring kind must be one of {CENSORING_KINDS}, got {self.kind!r}")
-        needs_admin, needs_rate = _CENSORING_PARAMETERS[self.kind]
-        if needs_admin:
-            if self.admin_time is None or not 0.0 < self.admin_time < math.inf:
-                raise ValueError("administrative censoring needs a finite admin_time > 0")
-        elif self.admin_time is not None:
-            raise ValueError(f"admin_time is not used with kind={self.kind!r}")
-        if needs_rate:
-            if self.rate is None or not 0.0 < self.rate < math.inf:
-                raise ValueError("exponential censoring needs a finite rate > 0")
-        elif self.rate is not None:
-            raise ValueError(f"rate is not used with kind={self.kind!r}")
+        if self.admin_time is not None and not 0.0 < self.admin_time < math.inf:
+            raise ValueError("administrative censoring needs a finite admin_time > 0")
+        if self.rate is not None and not 0.0 < self.rate < math.inf:
+            raise ValueError("exponential censoring needs a finite rate > 0")
 
-    @classmethod
-    def from_parameters(cls, admin_time=None, rate=None):
-        """The spec whose kind follows from which of admin_time and rate are set."""
-        given = (admin_time is not None, rate is not None)
-        kind = next(k for k, uses in _CENSORING_PARAMETERS.items() if uses == given)
-        return cls(kind=kind, admin_time=admin_time, rate=rate)
+    @property
+    def kind(self):
+        """One of CENSORING_KINDS: none, administrative, exponential or both."""
+        return CENSORING_KINDS[(self.admin_time is not None) + 2 * (self.rate is not None)]
 
     def label(self):
         """Compact label for tables, e.g. 'admin@2' or 'admin@2+exp@0.1'."""

@@ -85,8 +85,8 @@ def test_criterion_04_stratum_adjusted_recovery(truth):
 
 def test_criterion_05_censoring_moves_average_hazard_ratio(truth):
     config = TrialConfig(truth=truth, n_per_arm=500, seed=20260808)
-    early = CensoringSpec("administrative", admin_time=2.0)
-    late = CensoringSpec("administrative", admin_time=30.0)
+    early = CensoringSpec(admin_time=2.0)
+    late = CensoringSpec(admin_time=30.0)
     r_early, r_late = censoring_sensitivity(config, [early, late], replicates=200)
     diff = abs(r_early.mean_beta - r_late.mean_beta)
     combined = math.hypot(r_early.mc_se, r_late.mc_se)

@@ -274,6 +274,13 @@ class TestFitCommand:
                 assert capsys.readouterr().err.endswith(
                     f"{path} row 5: expected 4 fields, got 7\n")
 
+    def test_unknown_column_named(self, tmp_path, capsys):
+        path = tmp_path / "age.csv"
+        path.write_text("id,arm,age,observed_time,event\n0,0,40,1.5,1\n1,1,50,2.5,1\n")
+        for command in (("fit", str(path)), ("estimands", "--source", str(path))):
+            assert run(*command, "--out", str(tmp_path / "out")) == 1
+            assert capsys.readouterr().err.endswith(f"{path}: unknown column(s) age\n")
+
     def test_first_bad_row_named_before_a_later_bad_byte(self, tmp_path, capsys):
         # each line is decoded on its own, so the rows are judged in file order
         good = [f"{i},{i % 2},{i + 1}.5,1" for i in range(12)]
@@ -492,6 +499,25 @@ class TestRejectedFlagsAndKeys:
         err = self.rejected(tmp_path, capsys, "fit", dataset, "--cutpoints", cutpoints)
         assert "--cutpoints: cutpoints must be finite" in err
 
+    @pytest.mark.parametrize("cutpoints, cause", [
+        ("", "cutpoints must be finite, strictly increasing and > 0"),
+        (" ", "cutpoints must be finite, strictly increasing and > 0"),
+        ("1 x", "expected a list of numbers, got '1 x'"),
+    ])
+    def test_empty_or_bad_cutpoints(self, dataset, tmp_path, capsys, cutpoints, cause):
+        err = self.rejected(tmp_path, capsys, "fit", dataset, "--cutpoints", cutpoints)
+        assert err.endswith(f"--cutpoints: {cause}\n")
+
+    def test_cutpoints_flag_takes_the_config_grammar(self, dataset, tmp_path):
+        # as in [fit] cutpoints, commas or spaces separate the values
+        fits = []
+        for given in ("1,4,8", "1 4 8", "1, 4 8"):
+            out = tmp_path / given.replace(" ", "_")
+            assert run("fit", dataset, "--cutpoints", given, "--out", str(out)) == 0
+            fits.append((out / "fit.json").read_bytes())
+        assert fits[0] == fits[1] == fits[2]
+        assert json.loads(fits[0])["cutpoints"] == [1.0, 4.0, 8.0]
+
     @pytest.mark.parametrize("spec, key", [("exp:inf", "rate"), ("admin:inf", "admin_time"),
                                            ("admin:2+exp:nan", "rate")])
     def test_non_finite_censoring_spec(self, tmp_path, capsys, spec, key):
@@ -594,7 +620,7 @@ class TestCliPlumbing:
            reveal_latent=st.booleans())
     def test_dataset_csv_round_trip(self, seed, n_per_arm, reveal_latent):
         config = TrialConfig(truth=default_config().truth, n_per_arm=n_per_arm,
-                             censoring=CensoringSpec("both", admin_time=8.0, rate=0.05),
+                             censoring=CensoringSpec(admin_time=8.0, rate=0.05),
                              seed=seed)
         dataset = simulate(config)
         with tempfile.TemporaryDirectory() as out:

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,18 @@ def test_inconsistent_censoring_rejected():
         parse_config(MINIMAL + "\n[censoring]\nkind = administrative\n")
 
 
+@pytest.mark.parametrize("lines, named", [
+    ("kind = uniform", r"one of \('none', 'administrative', 'exponential', 'both'\)"),
+    ("kind = administrative", "'administrative'.* 'none'"),
+    ("kind = none\nadmin_time = 2", "'none'.* 'administrative'"),
+    ("kind = administrative\nadmin_time = 2\nrate = 0.1", "'administrative'.* 'both'"),
+])
+def test_censoring_kind_must_agree_with_parameters(lines, named):
+    # the kind a file names, checked against the one its parameters make
+    with pytest.raises(ConfigError, match=rf"\[censoring\] .*{named}"):
+        parse_config(MINIMAL + f"\n[censoring]\n{lines}\n")
+
+
 def test_bad_coupling_rejected():
     with pytest.raises(ConfigError, match="coupling"):
         parse_config(MINIMAL + "\n[trial]\ncoupling = sideways\n")
@@ -100,6 +114,21 @@ def test_bad_grid_rejected():
 def test_bad_cutpoints_rejected():
     with pytest.raises(ConfigError, match="cutpoints"):
         parse_config(MINIMAL + "\n[fit]\ncutpoints = 4, 2\n")
+
+
+def test_cutpoints_that_are_not_numbers_rejected():
+    # the list parser's own message, not _get's "invalid value"
+    with pytest.raises(ConfigError, match=r"^<config>: fit.cutpoints: expected a list of "
+                                          r"numbers, got '1, x'$"):
+        parse_config(MINIMAL + "\n[fit]\ncutpoints = 1, x\n")
+
+
+def test_truth_is_the_trials():
+    cfg = default_config()
+    assert "truth" not in {field.name for field in fields(RunConfig)}
+    assert cfg.truth is cfg.trial.truth
+    swapped = TwoArmTruth(cfg.truth.research, cfg.truth.control)
+    assert replace(cfg, trial=replace(cfg.trial, truth=swapped)).truth is swapped
 
 
 def test_bad_covariates_rejected():
@@ -184,13 +213,13 @@ def run_configs(draw):
     rate = draw(positive) if kind in ("exponential", "both") else None
     trial = TrialConfig(truth=truth, n_per_arm=draw(st.integers(1, 10**6)),
                         coupling=draw(st.sampled_from(COUPLINGS)),
-                        censoring=CensoringSpec(kind, admin_time, rate),
+                        censoring=CensoringSpec(admin_time, rate),
                         seed=draw(st.integers(0, 2**64 - 1)))
     grid_min = draw(st.floats(0.0, 100.0))
     grid_max = grid_min + draw(st.floats(1.0, 100.0))
     cutpoints = tuple(sorted(set(draw(st.lists(positive, max_size=4)))))
     config = RunConfig(
-        truth=truth, trial=trial, grid_min=grid_min, grid_max=grid_max,
+        trial=trial, grid_min=grid_min, grid_max=grid_max,
         grid_points=draw(st.integers(1, 2000)),
         covariates=draw(st.sampled_from([("arm",), ("arm", "stratum"), ("stratum", "arm")])),
         cutpoints=cutpoints, landmark=draw(positive), rmst_horizon=draw(positive),

@@ -64,6 +64,18 @@ class TestLandmarkContrast:
         assert report.per_arm["research"] == pytest.approx(0.5, abs=1e-15)
         assert report.source == "estimated"
 
+    def test_estimated_source_ratio(self):
+        report = landmark_contrast(small_estimated_source(), 2.75, kind="ratio")
+        assert report.value == 0.6666666666666666  # 0.5 / 0.75
+        assert report.per_arm == {"control": 0.75, "research": 0.5}
+
+    @pytest.mark.parametrize("t_star", [2e4, 1e6])
+    def test_truth_ratio_past_the_largest_float_rejected(self, two_point_truth, t_star):
+        # exp(H0 - H1) overflows: a ValueError naming the estimand and t
+        message = f"estimand landmark_ratio at t={t_star:g} is not finite: inf"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            landmark_contrast(two_point_truth, t_star, kind="ratio")
+
     def test_beyond_support_names_maximum(self):
         source = small_estimated_source()
         with pytest.raises(ValueError, match="maximum supported landmark is 4"):
@@ -219,7 +231,7 @@ class TestLogSurvivalRatio:
 class TestCensoringSensitivity:
     def test_smoke_two_replicates(self, two_point_truth):
         config = TrialConfig(truth=two_point_truth, n_per_arm=100, seed=55)
-        rows = censoring_sensitivity(config, [CensoringSpec("none")], replicates=2)
+        rows = censoring_sensitivity(config, [CensoringSpec()], replicates=2)
         assert len(rows) == 1
         assert rows[0].n_ok == 2 and rows[0].n_failed == 0
         assert np.isfinite(rows[0].mean_beta) and np.isfinite(rows[0].mc_se)
@@ -227,12 +239,19 @@ class TestCensoringSensitivity:
     def test_replicates_must_be_at_least_two(self, two_point_truth):
         config = TrialConfig(truth=two_point_truth, n_per_arm=100, seed=55)
         with pytest.raises(ValueError, match="replicates"):
-            censoring_sensitivity(config, [CensoringSpec("none")], replicates=1)
+            censoring_sensitivity(config, [CensoringSpec()], replicates=1)
+
+    @pytest.mark.parametrize("replicates", [3.0, 2.5, "3"])
+    def test_replicates_must_be_an_integer(self, two_point_truth, replicates):
+        config = TrialConfig(truth=two_point_truth, n_per_arm=100, seed=55)
+        with pytest.raises(ValueError, match=f"^replicates must be an integer, got "
+                                             f"{re.escape(repr(replicates))}$"):
+            censoring_sensitivity(config, [CensoringSpec()], replicates)
 
     def test_proportional_hazards_insensitive(self, single_rate_truth):
         config = TrialConfig(truth=single_rate_truth, n_per_arm=500, seed=61)
-        early = CensoringSpec("administrative", admin_time=2.0)
-        late = CensoringSpec("administrative", admin_time=30.0)
+        early = CensoringSpec(admin_time=2.0)
+        late = CensoringSpec(admin_time=30.0)
         r_early, r_late = censoring_sensitivity(config, [early, late], replicates=60)
         combined = np.hypot(r_early.mc_se, r_late.mc_se)
         assert abs(r_early.mean_beta - r_late.mean_beta) < 3 * combined
@@ -241,8 +260,8 @@ class TestCensoringSensitivity:
 
     def test_frailty_makes_average_depend_on_censoring(self, two_point_truth):
         config = TrialConfig(truth=two_point_truth, n_per_arm=500, seed=61)
-        early = CensoringSpec("administrative", admin_time=2.0)
-        late = CensoringSpec("administrative", admin_time=30.0)
+        early = CensoringSpec(admin_time=2.0)
+        late = CensoringSpec(admin_time=30.0)
         r_early, r_late = censoring_sensitivity(config, [early, late], replicates=60)
         combined = np.hypot(r_early.mc_se, r_late.mc_se)
         assert abs(r_early.mean_beta - r_late.mean_beta) > 4 * combined
@@ -251,14 +270,14 @@ class TestCensoringSensitivity:
     def test_failed_replicates_counted_not_fatal(self, two_point_truth):
         # admissions this early leave (almost) no events, so fits fail
         config = TrialConfig(truth=two_point_truth, n_per_arm=3, seed=71)
-        spec = CensoringSpec("administrative", admin_time=1e-6)
+        spec = CensoringSpec(admin_time=1e-6)
         rows = censoring_sensitivity(config, [spec], replicates=5)
         assert rows[0].n_ok + rows[0].n_failed == 5
         assert rows[0].n_failed > 0
 
     def test_deterministic_given_seed(self, two_point_truth):
         config = TrialConfig(truth=two_point_truth, n_per_arm=200, seed=81)
-        spec = CensoringSpec("exponential", rate=0.2)
+        spec = CensoringSpec(rate=0.2)
         first = censoring_sensitivity(config, [spec], replicates=10)
         second = censoring_sensitivity(config, [spec], replicates=10)
         assert first == second
@@ -282,10 +301,10 @@ def reference_log_hrs(config, specs, replicates):
 
 
 class TestBatchedReplicatesMatchReference:
-    SPECS = [CensoringSpec("none"),
-             CensoringSpec("administrative", admin_time=2.0),
-             CensoringSpec("exponential", rate=0.3),
-             CensoringSpec("both", admin_time=4.0, rate=0.1)]
+    SPECS = [CensoringSpec(),
+             CensoringSpec(admin_time=2.0),
+             CensoringSpec(rate=0.3),
+             CensoringSpec(admin_time=4.0, rate=0.1)]
 
     def check(self, config, specs, replicates):
         expected = reference_log_hrs(config, specs, replicates)
@@ -316,7 +335,7 @@ class TestBatchedReplicatesMatchReference:
 
     def test_no_events(self, two_point_truth):
         config = TrialConfig(truth=two_point_truth, n_per_arm=5, seed=93)
-        spec = CensoringSpec("administrative", admin_time=1e-6)
+        spec = CensoringSpec(admin_time=1e-6)
         expected = self.check(config, [spec], 6)
         assert np.isnan(expected).all()
 
@@ -339,7 +358,7 @@ class TestReplicateThreads:
     """_replicate_log_hrs fits its blocks of 4 replicates on a pool of at most
     two survmix-replicates threads, one per usable CPU."""
     SPECS = TestBatchedReplicatesMatchReference.SPECS + [
-        CensoringSpec("administrative", admin_time=1e-6)]  # no events: nan
+        CensoringSpec(admin_time=1e-6)]  # no events: nan
     N_PER_ARM, BLOCK = 40, 4
 
     def run(self, config, monkeypatch, cpus, replicates, error=None, fail_at=None):

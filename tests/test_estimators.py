@@ -123,6 +123,15 @@ class TestKaplanMeier:
         assert curve.at(2.9) == 0.75
         assert curve.at(10.0) == 0.375
 
+    def test_nan_time_rejected(self):
+        curve = kaplan_meier([1.0, 2.0, 3.0], [1, 1, 0])
+        for t in (np.nan, [1.0, np.nan]):
+            with pytest.raises(ValueError, match="time must not be nan"):
+                curve.at(t)
+        # before the first step the curve is its initial value, at inf its last
+        assert curve.at(-1.0) == curve.at(0.5) == 1.0
+        assert curve.at(np.inf) == curve.at([np.inf])[0] == curve.values[-1]
+
     def test_no_censoring_is_empirical_survival(self):
         curve = kaplan_meier([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1])
         assert curve.values == pytest.approx([0.75, 0.5, 0.25, 0.0], abs=1e-15)

@@ -1,9 +1,10 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -353,8 +354,39 @@ class TestTruthCurves:
                 hazard_research=table.hazard_research,
                 cum_hazard_control=table.cum_hazard_control + 1e-6,
                 cum_hazard_research=table.cum_hazard_research,
-                hazard_ratio=table.hazard_ratio,
             )
+
+
+    @pytest.mark.parametrize("column, bad, message", [
+        ("survival_research", lambda c: c[:-1], "survival_research does not match the grid"),
+        ("cum_hazard_control", lambda c: c[1:], "cum_hazard_control does not match the grid"),
+        ("survival_control", lambda c: np.r_[c[:-1], c[-3]],
+         "survival_control must be non-increasing in [0, 1]"),
+        ("survival_research", lambda c: np.r_[0.99, c[1:]],
+         "survival_research must equal 1 at t=0"),
+        ("hazard_control", lambda c: np.r_[c[:5], 0.0, c[6:]], "hazard_control must be positive"),
+        ("hazard_research", lambda c: -c, "hazard_research must be positive"),
+    ])
+    def test_curve_table_rejects_each_bad_column(self, two_point_truth, column, bad, message):
+        table = truth_curves(two_point_truth, default_grid(points=11))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(table, **{column: bad(getattr(table, column))})
+
+    def test_hazard_ratio_is_derived(self, two_point_truth):
+        table = truth_curves(two_point_truth, default_grid(points=11))
+        assert "hazard_ratio" not in {field.name for field in fields(CurveTable)}
+        assert table.hazard_ratio.tobytes() == \
+            (table.hazard_research / table.hazard_control).tobytes()
+        halved = replace(table, hazard_research=table.hazard_research / 2)
+        assert halved.hazard_ratio.tobytes() == (table.hazard_ratio / 2).tobytes()
+
+    @pytest.mark.parametrize("points", [2.5, 3.0, "3"])
+    def test_grid_points_must_be_an_integer(self, points):
+        # 2.5 made a 2-point grid
+        with pytest.raises(ValueError, match=f"^grid points must be an integer, got "
+                                             f"{re.escape(repr(points))}$"):
+            default_grid(0.0, 30.0, points)
+        assert default_grid(0.0, 30.0, np.int64(3)).tolist() == [0.0, 15.0, 30.0]
 
 
 def _bits(x):

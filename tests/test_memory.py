@@ -39,7 +39,7 @@ def traced_peak(fn):
 def dataset():
     """The benchmark's kind of trial: censored at 8 and by rate 0.05."""
     config = TrialConfig(truth=default_config().truth, n_per_arm=N_PER_ARM,
-                         censoring=CensoringSpec("both", admin_time=8.0, rate=0.05),
+                         censoring=CensoringSpec(admin_time=8.0, rate=0.05),
                          seed=11)
     return simulate(config)
 
@@ -92,6 +92,6 @@ def test_sensitivity_holds_one_block_per_thread(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     config = TrialConfig(truth=default_config().truth, n_per_arm=500, seed=12)
-    specs = [CensoringSpec("none"), CensoringSpec("both", admin_time=8.0, rate=0.05)]
+    specs = [CensoringSpec(), CensoringSpec(admin_time=8.0, rate=0.05)]
     peak = traced_peak(lambda: estimands._replicate_log_hrs(config, specs, 128))
     assert peak / estimands._BLOCK_ROWS < cpus * 85

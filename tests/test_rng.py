@@ -34,6 +34,22 @@ def test_out_of_range_seed_in_vector_rejected(bad):
         substream_uniforms([3, bad, 5], np.arange(4), STREAM_STRATUM)
 
 
+@pytest.mark.parametrize("function, ids, named", [
+    (substream_uniforms, [0.5, 1.0], "ids"),
+    (substream_uniforms, np.array([0, -1]), "ids"),
+    (derive_seed, 1.5, "index"),
+    (derive_seed, -1, "index"),
+    (derive_seed, np.array([3, -2]), "index"),
+    (derive_seed, 2**64, "index"),
+], ids=["float ids", "negative id", "float index", "negative index",
+        "negative index in an array", "index past uint64"])
+def test_ids_must_be_integers_at_least_zero(function, ids, named):
+    # neither truncated (1.5 drew id 1) nor left to numpy's OverflowError
+    args = (7, ids, STREAM_STRATUM) if function is substream_uniforms else (7, ids)
+    with pytest.raises(ValueError, match=f"^{named} must be integer and >= 0, got "):
+        function(*args)
+
+
 # exact draws of the stream layout: any change to the keyed hash moves them
 PINNED_UNIFORMS = [
     (0, [0, 1, 2], STREAM_STRATUM, [0.6524484863740323, 0.7012121095215254,

@@ -7,12 +7,12 @@ import pytest
 from survmix import (CensoringSpec, Dataset, MixtureArm, TrialConfig, TwoArmTruth,
                      apply_censoring, kaplan_meier, marginal_density,
                      marginal_survival, simulate)
-from survmix.trial import COUPLINGS
+from survmix.trial import CENSORING_KINDS, COUPLINGS
 
 # one spec of every censoring kind
-EVERY_KIND = (CensoringSpec("none"), CensoringSpec("administrative", admin_time=2.0),
-              CensoringSpec("exponential", rate=0.1),
-              CensoringSpec("both", admin_time=2.0, rate=0.1))
+EVERY_KIND = (CensoringSpec(), CensoringSpec(admin_time=2.0),
+              CensoringSpec(rate=0.1),
+              CensoringSpec(admin_time=2.0, rate=0.1))
 
 # closed forms of the joint law of (T0, T1) given the shared stratum's rates:
 # P(T1 > T0), and P(T0 > s, T1 > t)
@@ -32,34 +32,36 @@ def config_for(truth, **kwargs):
 
 class TestCensoringSpecValidation:
     def test_kinds(self):
-        CensoringSpec("none")
-        CensoringSpec("administrative", admin_time=2.0)
-        CensoringSpec("exponential", rate=0.1)
-        CensoringSpec("both", admin_time=2.0, rate=0.1)
-        with pytest.raises(ValueError, match="kind"):
-            CensoringSpec("uniform")
+        # a kind that disagrees with the parameters can only be written in a
+        # config file; tests/test_config.py rejects it there
+        assert [spec.kind for spec in EVERY_KIND] == list(CENSORING_KINDS) == [
+            "none", "administrative", "exponential", "both"]
 
     def test_required_parameters(self):
         with pytest.raises(ValueError, match="admin_time"):
-            CensoringSpec("administrative")
+            CensoringSpec(admin_time=0.0)
         with pytest.raises(ValueError, match="rate"):
-            CensoringSpec("exponential", rate=-1.0)
+            CensoringSpec(rate=-1.0)
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite admin_time"):
-                CensoringSpec("both", admin_time=value, rate=0.1)
+                CensoringSpec(admin_time=value, rate=0.1)
             with pytest.raises(ValueError, match="finite rate"):
-                CensoringSpec("both", admin_time=2.0, rate=value)
+                CensoringSpec(admin_time=2.0, rate=value)
 
     def test_extraneous_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            CensoringSpec("none", admin_time=2.0)
-        with pytest.raises(ValueError):
-            CensoringSpec("administrative", admin_time=2.0, rate=0.1)
+        # the kind is derived, so a kind passed in the old call forms raises
+        # instead of building a spec
+        with pytest.raises(TypeError):
+            CensoringSpec("none")
+        with pytest.raises(TypeError):
+            CensoringSpec("administrative", admin_time=2.0)
+        with pytest.raises(TypeError):
+            CensoringSpec(kind="both", admin_time=2.0, rate=0.1)
 
     def test_labels(self):
-        assert CensoringSpec("none").label() == "none"
-        assert CensoringSpec("administrative", admin_time=2.0).label() == "admin@2"
-        assert CensoringSpec("both", admin_time=2.0, rate=0.1).label() == "admin@2+exp@0.1"
+        assert CensoringSpec().label() == "none"
+        assert CensoringSpec(admin_time=2.0).label() == "admin@2"
+        assert CensoringSpec(admin_time=2.0, rate=0.1).label() == "admin@2+exp@0.1"
 
 
 def four_row_columns():
@@ -158,6 +160,12 @@ class TestDeterminism:
         cfg = config_for(two_point_truth)
         assert simulate(cfg) == simulate(cfg)
 
+    def test_not_equal_to_another_type(self):
+        dataset = Dataset(**four_row_columns(), config=None)
+        assert dataset == Dataset(**four_row_columns(), config=None)
+        for other in (None, 4, four_row_columns()):
+            assert dataset != other and not dataset == other
+
     def test_different_seed_differs(self, two_point_truth):
         a = simulate(config_for(two_point_truth, seed=1))
         b = simulate(config_for(two_point_truth, seed=2))
@@ -247,11 +255,11 @@ class TestMarginalAgreement:
 class TestCensoring:
     def test_none_keeps_all_events(self, two_point_truth):
         ds = simulate(config_for(two_point_truth,
-                                 censoring=CensoringSpec("none")))
+                                 censoring=CensoringSpec()))
         assert ds.event.all()
 
     def test_administrative_truncates(self, two_point_truth):
-        spec = CensoringSpec("administrative", admin_time=2.0)
+        spec = CensoringSpec(admin_time=2.0)
         ds = simulate(config_for(two_point_truth, censoring=spec))
         assigned = np.where(ds.arm == 0, ds.potential_time_0, ds.potential_time_1)
         late = assigned > 2.0
@@ -262,7 +270,7 @@ class TestCensoring:
 
     def test_administrative_minimum_rule_single_record(self, two_point_truth):
         ds = simulate(config_for(two_point_truth, n_per_arm=200))
-        spec = CensoringSpec("administrative", admin_time=2.0)
+        spec = CensoringSpec(admin_time=2.0)
         censored = apply_censoring(ds, spec, seed=0)
         idx = int(np.argmax(ds.observed_time > 3.1))
         assert ds.observed_time[idx] > 3.1
@@ -271,7 +279,7 @@ class TestCensoring:
 
     def test_exponential_event_fraction(self, two_point_truth):
         # P(event) = integral of f(t) * exp(-c t); trapezoid oracle
-        spec = CensoringSpec("exponential", rate=0.1)
+        spec = CensoringSpec(rate=0.1)
         ds = simulate(config_for(two_point_truth, n_per_arm=100_000, seed=5,
                                  censoring=spec))
         control = ds.arm == 0
@@ -282,9 +290,9 @@ class TestCensoring:
 
     def test_both_takes_minimum_of_all_three(self, two_point_truth):
         base = simulate(config_for(two_point_truth, n_per_arm=5000))
-        admin = apply_censoring(base, CensoringSpec("administrative", admin_time=2.0), seed=9)
-        expo = apply_censoring(base, CensoringSpec("exponential", rate=0.1), seed=9)
-        both = apply_censoring(base, CensoringSpec("both", admin_time=2.0, rate=0.1), seed=9)
+        admin = apply_censoring(base, CensoringSpec(admin_time=2.0), seed=9)
+        expo = apply_censoring(base, CensoringSpec(rate=0.1), seed=9)
+        both = apply_censoring(base, CensoringSpec(admin_time=2.0, rate=0.1), seed=9)
         assert np.array_equal(both.observed_time,
                               np.minimum(admin.observed_time, expo.observed_time))
         assert np.array_equal(both.event, admin.event & expo.event)
@@ -303,7 +311,7 @@ class TestCensoring:
 
     def test_censoring_deterministic_per_seed(self, two_point_truth):
         base = simulate(config_for(two_point_truth))
-        spec = CensoringSpec("exponential", rate=0.2)
+        spec = CensoringSpec(rate=0.2)
         first = apply_censoring(base, spec, seed=4)
         second = apply_censoring(base, spec, seed=4)
         third = apply_censoring(base, spec, seed=5)
