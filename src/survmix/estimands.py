@@ -9,13 +9,11 @@ closed-form truth or from Kaplan-Meier curves of a dataset.
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import _pool, rng
 # cox_fit_dataset and simulate are not called here: they are the
 # per-replicate reference of censoring_sensitivity, and perfbench/tracing.py
 # wraps them under these names
@@ -204,20 +202,13 @@ class SensitivityRow:
 _BLOCK_ROWS = 2**15
 
 
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _replicate_log_hrs(config, specs, replicates):
     """Arm-only Cox log-HR of every (spec, replicate) as a (specs, replicates)
     array; nan where the fit fails or does not converge.
 
-    The blocks are fitted on a pool of at most two threads, one per usable
-    CPU: numpy releases the GIL in its large loops. A block writes only its
-    own columns, so the array is the same whichever thread fits it.
+    The blocks are fitted on the pool of at most two threads, one per usable
+    CPU. A block writes only its own columns, so the array is the same
+    whichever thread fits it.
     """
     seeds = rng.derive_seed(config.seed, np.arange(replicates))
     block = max(1, _BLOCK_ROWS // (2 * config.n_per_arm))
@@ -229,12 +220,7 @@ def _replicate_log_hrs(config, specs, replicates):
         for k, (observed, event) in enumerate(censored):
             log_hrs[k, first:first + block] = cox_log_hr_stack(observed, event, arm)
 
-    # the first block, in order, that raises: its error is raised once the
-    # blocks before it end, and the blocks not yet started are cancelled
-    with ThreadPoolExecutor(min(2, len(firsts), _usable_cpus()),
-                            thread_name_prefix="survmix-replicates") as pool:
-        for _ in pool.map(fit_block, firsts):
-            pass
+    _pool.map(fit_block, firsts, "survmix-replicates")
     return log_hrs
 
 

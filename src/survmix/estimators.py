@@ -140,6 +140,10 @@ class _ConstantCovariate(ValueError):
 def check_cutpoints(cutpoints):
     """Period boundaries as a tuple of floats: non-empty, finite, > 0, strictly
     increasing."""
+    # a string is iterable too: "148" would cut at 1, 4 and 8
+    if isinstance(cutpoints, (str, bytes)):
+        raise ValueError(f"cutpoints must be a sequence of numbers, not the string "
+                         f"{cutpoints!r}")
     cutpoints = tuple(float(c) for c in cutpoints)
     if len(cutpoints) == 0 or not all(0.0 < c < math.inf for c in cutpoints) \
             or any(b <= a for a, b in zip(cutpoints, cutpoints[1:])):

@@ -32,7 +32,8 @@ def _mix64(z):
 def check_seed(seed):
     """The seed as a uint64; it must be an integer in [0, 2**64)."""
     try:
-        valid = 0 <= operator.index(seed) < 2**64
+        # bool has an index, but True is no seed
+        valid = not isinstance(seed, bool) and 0 <= operator.index(seed) < 2**64
     except TypeError:  # not an integer: a float, even a whole one, or a string
         valid = False
     if not valid:

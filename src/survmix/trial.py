@@ -91,7 +91,9 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_per_arm, numbers.Integral):
+        # bool is an Integral, but True is no count
+        if isinstance(self.n_per_arm, bool) \
+                or not isinstance(self.n_per_arm, numbers.Integral):
             raise ValueError(f"n_per_arm must be an integer, got {self.n_per_arm}")
         if self.n_per_arm < 1:
             raise ValueError("n_per_arm must be >= 1")

@@ -415,3 +415,26 @@ class TestReplicateThreads:
             self.run(config, monkeypatch, cpus, 4 * self.BLOCK, error, fail_at)
         assert raised.value is error
         assert replicate_threads() == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_callers_errstate_holds_in_the_threads(self, two_point_truth, monkeypatch,
+                                                   cpus):
+        # a new thread starts with numpy's default errstate, where an
+        # overflow only warns
+        config = TrialConfig(truth=two_point_truth, n_per_arm=self.N_PER_ARM, seed=97)
+        monkeypatch.setattr(estimands, "_BLOCK_ROWS", self.BLOCK * 2 * self.N_PER_ARM)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        fitted_in = []
+
+        def overflowing_fit(observed, event, arm):
+            fitted_in.append(threading.current_thread().name)
+            return np.exp(np.full(observed.shape[0], 1e3))
+
+        monkeypatch.setattr(estimands, "cox_log_hr_stack", overflowing_fit)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                estimands._replicate_log_hrs(config, self.SPECS, 2 * self.BLOCK)
+        assert fitted_in and all(name.startswith("survmix-replicates")
+                                 for name in fitted_in)
+        assert replicate_threads() == 0

@@ -10,7 +10,7 @@ from survmix import (CoxFit, EstimatedCurves, MixtureArm, TrialConfig, TwoArmTru
                      breslow_baseline, cox_fit, cox_fit_dataset, fit_report,
                      kaplan_meier, marginal_density, marginal_survival,
                      nelson_aalen, period_specific_cox, simulate)
-from survmix.estimators import _CoxData, _newton, cox_log_hr_stack
+from survmix.estimators import _CoxData, _newton, check_cutpoints, cox_log_hr_stack
 
 from conftest import brute_partial_loglik
 
@@ -429,6 +429,16 @@ class TestPeriodSpecificCox:
         for cutpoints in ((float("nan"),), (1.0, float("inf"))):
             with pytest.raises(ValueError, match="finite"):
                 period_specific_cox(TIME6, EVENT6, X6, cutpoints)
+
+    @pytest.mark.parametrize("cutpoints", ["148", b"148", "2.5"], ids=["str", "bytes", "float-str"])
+    def test_string_cutpoints_rejected(self, cutpoints):
+        # "148" was split into the cutpoints 1, 4 and 8
+        message = (f"^cutpoints must be a sequence of numbers, not the string "
+                   f"{re.escape(repr(cutpoints))}$")
+        with pytest.raises(ValueError, match=message):
+            check_cutpoints(cutpoints)
+        with pytest.raises(ValueError, match=message):
+            period_specific_cox(TIME6, EVENT6, X6, cutpoints)
 
 
 class TestBreslowBaseline:

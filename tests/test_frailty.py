@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields, replace
 
@@ -16,7 +17,7 @@ from survmix import (CurveTable, MixtureArm, TwoArmTruth, cumulative_hazard,
                      default_grid, hazard_ratio, limit_hazard_ratio,
                      marginal_density, marginal_hazard, marginal_survival,
                      survivor_composition, truth_curves)
-from survmix.frailty import _BLOCK, _mixture, _strata_sum
+from survmix.frailty import _BLOCK, _composition, _mixture, _strata_sum
 
 from conftest import mixture_arms
 
@@ -380,9 +381,9 @@ class TestTruthCurves:
         halved = replace(table, hazard_research=table.hazard_research / 2)
         assert halved.hazard_ratio.tobytes() == (table.hazard_ratio / 2).tobytes()
 
-    @pytest.mark.parametrize("points", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("points", [2.5, 3.0, "3", True])
     def test_grid_points_must_be_an_integer(self, points):
-        # 2.5 made a 2-point grid
+        # 2.5 made a 2-point grid, True a 1-point one
         with pytest.raises(ValueError, match=f"^grid points must be an integer, got "
                                              f"{re.escape(repr(points))}$"):
             default_grid(0.0, 30.0, points)
@@ -466,6 +467,113 @@ class TestFixedOrderEvaluation:
         assert result.returncode == 0, f"exit {result.returncode}: {result.stderr}"
         peak_mb = int(result.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
         assert peak_mb < 200.0, f"peak RSS {peak_mb:.1f} MB"
+
+
+def truth_threads():
+    return sum(t.name.startswith("survmix-truth") for t in threading.enumerate())
+
+
+def geometric_arm(k):
+    """k equal weights, rates geometric from 0.02 to 2.0 (the benchmark's arm)."""
+    rates = [0.02 * 100.0 ** (i / max(k - 1, 1)) for i in range(k)]
+    return MixtureArm(weights=(1 / k,) * k, rates=tuple(rates))
+
+
+class TestTruthThreads:
+    """_mixture evaluates its blocks of _BLOCK times on a pool of at most two
+    survmix-truth threads, one per usable CPU, each with its own scratch; one
+    block, or one CPU, is evaluated in the calling thread."""
+
+    # 1 and 2 full blocks, and 7 full blocks with a one-point tail
+    POINTS = [_BLOCK, 2 * _BLOCK, 7 * _BLOCK + 1]
+
+    def run(self, monkeypatch, cpus, f, *args, error=None, fail_from=None):
+        """f(*args) with `cpus` usable CPUs, and the live truth threads at
+        each block; the block that starts at time `fail_from` raises `error`."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        alive = []
+
+        def recording_composition(arm, t, out):
+            alive.append(truth_threads())
+            if t[0] == fail_from:
+                raise error
+            return _composition(arm, t, out)
+
+        monkeypatch.setattr(survmix.frailty, "_composition", recording_composition)
+        return f(*args), alive
+
+    def run_threaded(self, monkeypatch, f, *args):
+        """run() with two usable CPUs, the two threads interleaved finely."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return self.run(monkeypatch, 2, f, *args)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("k", [1, 3, 256])
+    @pytest.mark.parametrize("points", POINTS, ids=["1-block", "2-blocks", "7-blocks-tail"])
+    def test_same_bytes_on_one_cpu_or_two(self, monkeypatch, k, points):
+        arm = geometric_arm(k)
+        # out to t = 600, where the fastest strata underflow
+        grid = np.linspace(0.0, 600.0, points)
+        blocks = -(-points // _BLOCK)
+        threaded, alive = self.run_threaded(monkeypatch, _mixture, arm, grid)
+        assert truth_threads() == 0
+        serial, serial_alive = self.run(monkeypatch, 1, _mixture, arm, grid)
+        assert truth_threads() == 0
+        whole, _ = self.run(monkeypatch, 1, _mixture, arm, grid, grid.size)
+        assert threaded.tobytes() == serial.tobytes() == whole.tobytes()
+        assert len(alive) == len(serial_alive) == blocks
+        # one block, or one CPU, is evaluated in the calling thread
+        assert (min(alive) >= 1) == (blocks > 1) and max(alive) <= min(2, blocks)
+        assert set(serial_alive) == {0}
+
+    @pytest.mark.parametrize("points", POINTS, ids=["1-block", "2-blocks", "7-blocks-tail"])
+    def test_truth_curves_same_bytes_on_one_cpu_or_two(self, monkeypatch, points):
+        arm = geometric_arm(256)
+        truth = TwoArmTruth(arm, MixtureArm(arm.weights, tuple(r / 2 for r in arm.rates)))
+        grid = np.linspace(0.0, 60.0, points)
+        threaded, _ = self.run_threaded(monkeypatch, truth_curves, truth, grid)
+        serial, _ = self.run(monkeypatch, 1, truth_curves, truth, grid)
+        for field in fields(CurveTable):
+            assert getattr(threaded, field.name).tobytes() == \
+                getattr(serial, field.name).tobytes(), field.name
+        assert threaded.hazard_ratio.tobytes() == serial.hazard_ratio.tobytes()
+        assert truth_threads() == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fail_at", [0, 5], ids=["first", "later"])
+    def test_error_propagates_and_threads_end(self, monkeypatch, cpus, fail_at):
+        grid = np.linspace(0.0, 60.0, 7 * _BLOCK + 1)
+        error = ValueError(f"block {fail_at} failed")
+        with pytest.raises(ValueError) as raised:
+            self.run(monkeypatch, cpus, _mixture, geometric_arm(3), grid,
+                     error=error, fail_from=grid[fail_at * _BLOCK])
+        assert raised.value is error
+        assert truth_threads() == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_callers_errstate_holds_in_the_threads(self, monkeypatch, cpus):
+        # a new thread starts with numpy's default errstate, where an
+        # overflow only warns
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        evaluated_in = []
+
+        def overflowing_sum(terms):
+            evaluated_in.append(threading.current_thread().name)
+            return np.exp(np.full(terms.shape[1], 1e3))
+
+        monkeypatch.setattr(survmix.frailty, "_strata_sum", overflowing_sum)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                _mixture(geometric_arm(3), np.linspace(0.0, 60.0, 4 * _BLOCK))
+        caller = threading.current_thread().name
+        assert evaluated_in and all(name.startswith("survmix-truth") if cpus == 2
+                                    else name == caller for name in evaluated_in)
+        assert truth_threads() == 0
 
 
 def test_default_grid_shape():

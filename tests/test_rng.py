@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survmix.rng import (STREAM_CENSORING, STREAM_EVENT_PRIMARY,
-                         STREAM_EVENT_SECONDARY, STREAM_STRATUM, derive_seed,
-                         substream_uniforms)
+                         STREAM_EVENT_SECONDARY, STREAM_STRATUM, check_seed,
+                         derive_seed, substream_uniforms)
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 IDS = st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=20)
@@ -26,6 +26,15 @@ def test_seed_vector_stacks_per_seed_draws(seeds, ids, stream):
 def test_scalar_seed_keeps_one_dimension():
     assert substream_uniforms(7, np.arange(5), STREAM_STRATUM).shape == (5,)
     assert substream_uniforms([7], np.arange(5), STREAM_STRATUM).shape == (1, 5)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_])
+def test_bool_seed_rejected(bad):
+    # True passed as the seed 1
+    with pytest.raises(ValueError, match=f"^seed must be a 64-bit unsigned integer, "
+                                         f"got {bad}$"):
+        check_seed(bad)
+    assert check_seed(np.int64(1)) == 1
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 2**70])

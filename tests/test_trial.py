@@ -95,6 +95,11 @@ class TestTrialConfigValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrialConfig(truth=two_point_truth, **{field: value})
 
+    def test_n_per_arm_rejects_a_bool(self, two_point_truth):
+        # True passed as 1: a one-per-arm trial
+        with pytest.raises(ValueError, match="^n_per_arm must be an integer, got True$"):
+            TrialConfig(truth=two_point_truth, n_per_arm=True)
+
     def test_arms_must_share_stratum_weights(self):
         truth = TwoArmTruth(
             control=MixtureArm(weights=(0.5, 0.5), rates=(0.1, 0.5)),
