@@ -52,15 +52,17 @@ class InputError(ValueError):
 
 
 def _atomic_write(path, chunks):
-    """Write an iterable of strings to `path`, or leave it untouched on failure.
+    """Write an iterable of bytes (or str, as UTF-8) to `path`, or leave it
+    untouched on failure.
 
     The data reach the disk (fsync) before the rename makes them visible, so a
     crash leaves the old file or the complete new one.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -74,19 +76,22 @@ def _write_columns(path, header, fmt, columns):
     """Write a CSV table with one `fmt % row` per index of the equal-length
     `columns`.
 
-    Rows are formatted a block at a time, so the text held at once stays
-    small. Float columns get + 0.0, which writes negative zero as 0; use
-    "%.9g" for floats, 9 significant digits so that tables are
-    platform-stable ("%.9g" % x equals format(x, ".9g")).
+    Rows are formatted a block at a time in numpy (see _csvtext), so the
+    text held at once stays small. Float columns get + 0.0, which writes
+    negative zero as 0; use "%.9g" for floats, 9 significant digits so that
+    tables are platform-stable ("%.9g" % x equals format(x, ".9g")).
     """
+    # imported at the first table written: fit and estimands, which write
+    # JSON, never load (or, without cached bytecode, compile) the formatter
+    from ._csvtext import compile_format, format_rows
+
     columns = [np.asarray(c) for c in columns]
+    specs, literals = compile_format(fmt)
 
     def blocks():
-        yield ",".join(header) + "\n"
+        yield (",".join(header) + "\n").encode("utf-8")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = (c[start:start + _BLOCK_ROWS] for c in columns)
-            values = ((c + 0.0 if c.dtype.kind == "f" else c).tolist() for c in block)
-            yield "".join(map(fmt.__mod__, zip(*values)))
+            yield format_rows(specs, literals, [c[start:start + _BLOCK_ROWS] for c in columns])
 
     _atomic_write(path, blocks())
 
@@ -126,11 +131,12 @@ def read_dataset_csv(path):
     A line ends at a newline byte or at the end of the file, and one
     carriage return at its end is dropped; each line is decoded as UTF-8 on
     its own. A first pass counts the rows and checks whether every byte after
-    the header is one that numpy's C parser and the per-row parser read
-    alike; the second reads whole lines a chunk at a time into the columns,
-    so no more than a chunk of the file is held at once. numpy parses a chunk
-    of such a plain file; the per-row parser, whose errors name the bad row,
-    parses every other chunk.
+    the header, once each CRLF is read as LF, is one that numpy's C parser
+    and the per-row parser read alike; the second reads whole lines a chunk
+    at a time into the columns, so no more than a chunk of the file is held
+    at once. numpy parses a chunk of such a plain file, its CRLFs made LFs;
+    the per-row parser, whose errors name the bad row, parses every other
+    chunk.
     """
     try:
         with open(path, "rb") as fh:
@@ -138,11 +144,19 @@ def read_dataset_csv(path):
             if not first:
                 raise InputError(f"{path}: empty file")
             header = _check_header(path, _line_text(path, 1, first).split(","))
-            rows, plain, last = 0, True, b"\n"
+            rows, plain, crlf, held, last = 0, True, False, b"", b"\n"
             while block := fh.read(_CHUNK_BYTES):
-                plain = plain and not block.translate(None, _PLAIN_BODY)
                 rows += block.count(b"\n")
                 last = block[-1:]
+                if plain:
+                    # each \r\n read as \n; a block that ends on the \r of a
+                    # \r\n holds that \r for the next
+                    block, held = held + block, b"\r" if last == b"\r" else b""
+                    if b"\r" in block:
+                        crlf = True
+                        block = block[:len(block) - len(held)].replace(b"\r\n", b"\n")
+                    plain = not block.translate(None, _PLAIN_BODY)
+            plain = plain and not held  # a file that ends on a \r
             rows += last != b"\n"  # a last row with no newline
             if not rows:
                 raise InputError(f"{path}: no data rows")
@@ -154,7 +168,10 @@ def read_dataset_csv(path):
                 start, stop = stop, stop + len(lines)
                 if stop > rows:  # more rows than the first pass counted
                     break
-                records = _parse_plain(lines, dtype) if plain else None
+                records = None
+                if plain:
+                    records = _parse_plain([line.replace(b"\r\n", b"\n") for line in lines]
+                                           if crlf else lines, dtype)
                 if records is None:
                     records = _parse_rows(path, header, lines, start + 2)
                 for name in header:

@@ -278,36 +278,41 @@ class _CoxData:
         self._work = np.empty((order.size, 1 + self.p + len(self._products)))
 
     def loglik_score_info(self, beta):
-        """Breslow partial log likelihood and its first two derivatives."""
-        work, x, p = self._work, self.x, self.p
-        # exp and log go through contiguous arrays: numpy's vector and
-        # strided loops may round them differently. exp works in place in
-        # the matmul result, the same contiguous loop
-        w = x @ beta
-        work[:, 0] = np.exp(w, out=w)
-        del w
-        np.multiply(x, work[:, :1], out=work[:, 1:1 + p])
-        for c, (k, l) in enumerate(self._products, start=1 + p):
-            np.multiply(work[:, 1 + k], x[:, l], out=work[:, c])
-        # suffix sums give risk-set aggregates at the head row of each group;
-        # each gather copies its columns straight out of the buffer
-        _suffix_sum(work)
-        w_risk = work[self.start, 0]
-        ll = float(np.sum(self.event_x_sum @ beta) - np.sum(self.d * np.log(w_risk)))
-        xbar = work[self.start, 1:1 + p]
-        xbar /= w_risk[:, None]
-        # einsum's summation order follows the operand's layout: the gather
-        # gives a C-contiguous (G, p, p) array
-        centred = work[self.start[:, None, None], self._pair_column]
-        centred /= w_risk[:, None, None]
-        for k in range(p):
-            for l in range(p):
-                centred[:, k, l] -= xbar[:, k] * xbar[:, l]
-        info = np.einsum("j,jkl->kl", self.d.astype(float), centred)
-        # the score from d_j xbar_j, scaled in place now that info is done
-        xbar *= self.d[:, None]
-        score = np.sum(np.subtract(self.event_x_sum, xbar, out=xbar), axis=0)
-        return ll, score, info
+        """Breslow partial log likelihood and its first two derivatives.
+
+        A Newton step far out can overflow exp(x beta): the result is then
+        not finite, and _newton halves the step, so numpy need not warn.
+        """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            work, x, p = self._work, self.x, self.p
+            # exp and log go through contiguous arrays: numpy's vector and
+            # strided loops may round them differently. exp works in place in
+            # the matmul result, the same contiguous loop
+            w = x @ beta
+            work[:, 0] = np.exp(w, out=w)
+            del w
+            np.multiply(x, work[:, :1], out=work[:, 1:1 + p])
+            for c, (k, l) in enumerate(self._products, start=1 + p):
+                np.multiply(work[:, 1 + k], x[:, l], out=work[:, c])
+            # suffix sums give risk-set aggregates at the head row of each group;
+            # each gather copies its columns straight out of the buffer
+            _suffix_sum(work)
+            w_risk = work[self.start, 0]
+            ll = float(np.sum(self.event_x_sum @ beta) - np.sum(self.d * np.log(w_risk)))
+            xbar = work[self.start, 1:1 + p]
+            xbar /= w_risk[:, None]
+            # einsum's summation order follows the operand's layout: the gather
+            # gives a C-contiguous (G, p, p) array
+            centred = work[self.start[:, None, None], self._pair_column]
+            centred /= w_risk[:, None, None]
+            for k in range(p):
+                for l in range(p):
+                    centred[:, k, l] -= xbar[:, k] * xbar[:, l]
+            info = np.einsum("j,jkl->kl", self.d.astype(float), centred)
+            # the score from d_j xbar_j, scaled in place now that info is done
+            xbar *= self.d[:, None]
+            score = np.sum(np.subtract(self.event_x_sum, xbar, out=xbar), axis=0)
+            return ll, score, info
 
 
 class _ArmRiskSets:
@@ -356,16 +361,18 @@ class _ArmRiskSets:
 
     def loglik_score_info(self, beta):
         """Breslow partial log likelihood, score and information of every
-        sample at the (m, 1) coefficients `beta`."""
-        e_n1, w_risk = self._work
-        np.multiply(np.exp(beta), self.n1, out=e_n1)
-        np.add(self.n0, e_n1, out=w_risk)
-        xbar = np.divide(e_n1, w_risk, out=e_n1)
-        log_w = np.log(w_risk, out=w_risk)
-        ll = beta[:, 0] * self.event_arm_sum - np.einsum("ij,ij->i", self.deaths, log_w)
-        d_xbar = np.einsum("ij,ij->i", self.deaths, xbar)
-        info = d_xbar - np.einsum("ij,ij,ij->i", self.deaths, xbar, xbar)
-        return ll, (self.event_arm_sum - d_xbar)[:, None], info[:, None, None]
+        sample at the (m, 1) coefficients `beta`, not finite where exp(beta)
+        overflows (then _newton halves the step)."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            e_n1, w_risk = self._work
+            np.multiply(np.exp(beta), self.n1, out=e_n1)
+            np.add(self.n0, e_n1, out=w_risk)
+            xbar = np.divide(e_n1, w_risk, out=e_n1)
+            log_w = np.log(w_risk, out=w_risk)
+            ll = beta[:, 0] * self.event_arm_sum - np.einsum("ij,ij->i", self.deaths, log_w)
+            d_xbar = np.einsum("ij,ij->i", self.deaths, xbar)
+            info = d_xbar - np.einsum("ij,ij,ij->i", self.deaths, xbar, xbar)
+            return ll, (self.event_arm_sum - d_xbar)[:, None], info[:, None, None]
 
 
 def _newton_steps(info, score, rows):
@@ -389,7 +396,8 @@ def _newton(evaluate, m, p):
     evaluate(beta) returns the log likelihood (m,), score (m, p) and
     information (m, p, p) at the (m, p) coefficients `beta`. Every row starts
     at 0 and moves on its own: a step is halved while it would decrease the
-    row's log likelihood, and the row stops once max|score| < SCORE_TOL, at
+    row's log likelihood or make it, its score or its information not
+    finite, and the row stops once max|score| < SCORE_TOL, at
     MAX_ITERATIONS, at a singular information, when |beta| passes
     DIVERGENCE_BOUND or when it stalls. Returns beta, ll, score, info,
     iterations and converged, one entry per row.
@@ -422,7 +430,11 @@ def _newton(evaluate, m, p):
             ll_new = np.where(halving, ll_try, ll_new)
             score_new = np.where(halving[:, None], score_try, score_new)
             info_new = np.where(halving[:, None, None], info_try, info_new)
-            halving = halving & (ll_try < ll - ll_slack) & (step > 2.0**-20)
+            finite = np.isfinite(ll_try)
+            if not (np.isfinite(score_try).all() and np.isfinite(info_try).all()):
+                finite &= np.isfinite(score_try).all(axis=1) \
+                    & np.isfinite(info_try).all(axis=(1, 2))
+            halving = halving & ((ll_try < ll - ll_slack) | ~finite) & (step > 2.0**-20)
             step = np.where(halving, 0.5 * step, step)
         moved = np.max(np.abs(candidate - beta), axis=1)
         beta, ll, score, info = candidate, ll_new, score_new, info_new

@@ -7,14 +7,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survmix import CensoringSpec, TrialConfig, simulate
-from survmix import cli
+from survmix import _csvtext, cli
 from survmix.cli import (InputError, _atomic_write, main, parse_censoring_list,
                          read_dataset_csv, write_curve_tables, write_dataset)
 from survmix.config import default_config, default_config_text
+
+from check_number_format import problems as number_format_problems, wide_config_text
 
 LATENT_HEADER = ("id,arm,stratum,potential_time_0,potential_time_1,"
                  "observed_time,event")
@@ -653,7 +655,13 @@ HEADERS = ("id,arm,observed_time,event", LATENT_HEADER,
            "event,observed_time,arm,id", "id,arm,observed_time,event,event",
            "id,arm,observed_time,event ", "id,arm,time,event")
 SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
-                  np.inf, -np.inf, 1.0 / 3.0, -2.5, 123456789.5, 1e-5)
+                  np.inf, -np.inf, 1.0 / 3.0, -2.5, 123456789.5, 1e-5,
+                  # the edges of the block writer's numpy path: nan, the ends
+                  # of [1e-14, 1e30), ties at the tenth digit and roundings
+                  # that carry into it
+                  np.nan, 1e-14, np.nextafter(1e-14, 0.0), 1e30, np.nextafter(1e30, 0.0),
+                  -9.999999995e-5, 999999999.5, np.nextafter(1e9, 0.0), 1e-4,
+                  np.nextafter(1e-4, 0.0), 99999.99999999999, 1e16 + 2.0)
 
 
 @st.composite
@@ -754,9 +762,9 @@ class TestCsvLayer:
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(read(path).replace(b"\n", b"\r\n"))
         parsed_by.clear()
-        # the per-row parser reads it to the same columns
+        # numpy reads it too, each CRLF read as LF, to the same columns
         assert_same_columns(read_dataset_csv(str(crlf)), columns)
-        assert parsed_by == ["rows"]
+        assert parsed_by == ["numpy"]
 
     def test_chunks_cut_anywhere_read_the_same(self, tmp_path, monkeypatch, parsed_by):
         config = TrialConfig(truth=default_config().truth, n_per_arm=20, seed=7)
@@ -794,12 +802,12 @@ class TestCsvLayer:
         path = tmp_path / "lf" / "dataset.csv"
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(read(path).replace(b"\n", b"\r\n"))
-        # numpy reads every chunk of the written file, the per-row parser every
-        # chunk of its CRLF copy
-        for name, out, parser in ((path, "lf", "numpy"), (crlf, "crlf", "rows")):
+        # numpy reads every chunk of the written file and of its CRLF copy,
+        # whose 16-byte blocks end on the \r of a \r\n too
+        for name, out in ((path, "lf"), (crlf, "crlf")):
             parsed_by.clear()
             assert run("fit", str(name), "--out", str(tmp_path / out)) == 0
-            assert parsed_by and set(parsed_by) == {parser}
+            assert parsed_by and set(parsed_by) == {"numpy"}
         assert read(tmp_path / "crlf" / "fit.json") == read(tmp_path / "lf" / "fit.json")
 
     def test_ids_in_any_order(self, tmp_path):
@@ -849,3 +857,134 @@ class TestCsvLayer:
               for i in range(rows)]
         assert read(hr_path).decode() == reference(
             ["t", "hazard_control", "hazard_research", "hazard_ratio"], hr)
+
+
+# every row format of the CLI's tables, with the kind of value each column
+# holds: "i" int64, "b" bool, "f" float64, "s" text; "grid" marks the curve
+# column that a curves.csv row writes twice
+ROW_FORMATS = {
+    "dataset.csv": ("%d,%d,%.9g,%d\n", "iifb"),
+    "dataset.csv --reveal-latent": ("%d,%d,%d,%.9g,%.9g,%.9g,%d\n", "iiifffb"),
+    "curves.csv": ("%.9g,control,%.9g,%.9g,%.9g\n%.9g,research,%.9g,%.9g,%.9g\n", "grid"),
+    "hr.csv": ("%.9g,%.9g,%.9g,%.9g\n", "ffff"),
+    "sensitivity.csv": ("%s,%.9g,%.9g,%d,%d\n", "sffii"),
+}
+
+
+def _tenth_digit_ties():
+    """Decimals of ten significant digits that end in 5, as 123456789.5."""
+    return st.builds(lambda digits, exponent: float(f"{digits}5e{exponent}"),
+                     st.integers(10**8, 10**9 - 1), st.integers(-330, 300))
+
+
+def _near_powers_of_ten():
+    """10^e and the floats one ulp either side of it."""
+    return st.builds(lambda e, side: float(np.nextafter(10.0**e, side)) if side else 10.0**e,
+                     st.integers(-323, 308), st.sampled_from([0.0, np.inf, None]))
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), _tenth_digit_ties(),
+                   _near_powers_of_ten(), st.floats(1e-3, 1e3), st.floats(-1e-13, 1e-13))
+INTS = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([-2**63, 2**63 - 1, 0, -1]),
+                 st.integers(0, 10**6))
+
+
+@st.composite
+def tables(draw):
+    """A row format of the CLI, a block size, and columns whose length lies
+    around a multiple of it."""
+    name = draw(st.sampled_from(sorted(ROW_FORMATS)))
+    fmt, kinds = ROW_FORMATS[name]
+    block = draw(st.integers(1, 6))
+    rows = draw(st.integers(0, 3 * block + 1))
+
+    def column(kind):
+        values = {"i": INTS, "b": st.booleans(), "f": FLOATS,
+                  "s": st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=8)}[kind]
+        drawn = draw(st.lists(values, min_size=rows, max_size=rows))
+        return np.array(drawn, dtype={"i": np.int64, "b": bool, "f": np.float64, "s": str}[kind])
+
+    if kinds == "grid":
+        grid = column("f")
+        control, research = ([column("f") for _ in range(3)] for _ in range(2))
+        columns = [grid, *control, grid, *research]
+    else:
+        columns = [column(kind) for kind in kinds]
+    return fmt, block, columns
+
+
+def percent_rows(fmt, columns):
+    """The text of Python's `fmt % row` for each row, with + 0.0 on floats."""
+    values = [(c + 0.0 if c.dtype.kind == "f" else c).tolist() for c in columns]
+    return "".join(fmt % row for row in zip(*values))
+
+
+class TestBlockWriter:
+    def test_cli_writes_the_tested_formats(self, tmp_path, monkeypatch):
+        formats = set()
+        write_columns = cli._write_columns
+
+        def spy(path, header, fmt, columns):
+            formats.add(fmt)
+            return write_columns(path, header, fmt, columns)
+
+        monkeypatch.setattr(cli, "_write_columns", spy)
+        out = str(tmp_path)
+        run("truth", "--out", out)
+        run("simulate", "--out", out)
+        run("simulate", "--out", out, "--reveal-latent")
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(default_config_text().replace("sensitivity_replicates = 200",
+                                                     "sensitivity_replicates = 2"))
+        run("estimands", "--config", str(cfg), "--sensitivity", "none,admin:2", "--out", out)
+        assert formats == {fmt for fmt, _ in ROW_FORMATS.values()}
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables())
+    @example(table=(ROW_FORMATS["hr.csv"][0], 2, [np.array(SPECIAL_FLOATS)] * 4))
+    def test_bytes_equal_percent_format(self, table):
+        fmt, block, columns = table
+        with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "_BLOCK_ROWS", block):
+            path = os.path.join(out, "table.csv")
+            cli._write_columns(path, ("a", "b"), fmt, columns)
+            assert read(path).decode("utf-8") == "a,b\n" + percent_rows(fmt, columns)
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The values that Python's formatter writes for the block writer."""
+        values = []
+        python_texts = _csvtext._python_texts
+
+        def counted(spec, texts):
+            values.extend(texts)
+            return python_texts(spec, texts)
+
+        monkeypatch.setattr(_csvtext, "_python_texts", counted)
+        return values
+
+    def test_numpy_writes_every_number_of_the_default_runs(self, tmp_path, fallbacks):
+        run("simulate", "--out", str(tmp_path), "--reveal-latent")
+        run("truth", "--out", str(tmp_path))
+        assert fallbacks == []
+
+    def test_numpy_writes_the_powers_of_ten(self, tmp_path, fallbacks):
+        # log10 puts the values just below a power of ten one decade too
+        # high; the writer corrects that rather than handing them to Python
+        powers = 10.0 ** np.arange(-13, 30)
+        x = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        cli._write_columns(str(tmp_path / "t.csv"), ("x",), "%.9g\n", [x])
+        assert fallbacks == []
+        assert read(tmp_path / "t.csv").decode() == "x\n" + percent_rows("%.9g\n", [x])
+
+    def test_every_number_formats_again_to_itself(self, tmp_path):
+        # times below 1e-14, which Python formats, and exponent forms
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(wide_config_text())
+        assert run("simulate", "--config", str(cfg), "--reveal-latent",
+                   "--out", str(tmp_path)) == 0
+        assert number_format_problems(str(tmp_path / "dataset.csv")) == []
+
+    def test_nul_in_a_text_field_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="NUL"):
+            cli._write_columns(str(tmp_path / "t.csv"), ("a",), "%s\n", [["a\0b"]])
+        assert os.listdir(tmp_path) == []

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -680,9 +681,17 @@ def curve_bytes(curve):
             for name in ("values", "variance", "n_risk", "n_event")]
 
 
+# a separated sample whose first Newton step, to beta = (768, -768), overflows
+# exp(x beta) on a censored row that no risk set reads
+SEPARATED = (np.array([1.0, 2.0, 1.0, 1.0, 2.0, 2.0, 1.0]),
+             np.array([False, True, False, False, True, False, False]),
+             np.array([0, 0, 0, 0, 1, 0, 0]), np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0**-9, -1.0]))
+
+
 class TestMetamorphic:
     @settings(max_examples=100, deadline=None)
     @given(sample=samples())
+    @example(sample=SEPARATED)
     def test_doubled_times_keep_every_estimate(self, sample):
         time, event, arm, z = sample
         x = np.column_stack([arm, z])
@@ -700,6 +709,30 @@ class TestMetamorphic:
             doubled = breslow_baseline(doubled, 2.0 * time, event, x)
             assert doubled.times.tobytes() == (2.0 * curve.times).tobytes()
             assert curve_bytes(doubled) == curve_bytes(curve)
+
+    @settings(max_examples=200, deadline=None)
+    @given(time=st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=2, max_size=8),
+           data=st.data())
+    @example(time=list(SEPARATED[0]), data=None)
+    def test_separated_samples_fit_without_warnings(self, time, data):
+        # a step out to |beta| in the hundreds overflows exp(x beta); the fits
+        # end, converged or not, without a numpy warning. breslow_baseline is
+        # left out: its variance overflows on some converged fits
+        n = len(time)
+        if data is None:
+            event, arm, z = SEPARATED[1:]
+        else:
+            event = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            arm = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+            z = np.array(data.draw(st.lists(
+                st.sampled_from([0.0, 1.0, -1.0, 2.0**-9, 2.5, -3.0]) | st.floats(-1e3, 1e3),
+                min_size=n, max_size=n)))
+        time, x = np.array(time), np.column_stack([arm, z])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome(cox_fit, time, event, x)
+            if event.any():
+                cox_log_hr_stack(time[None], event[None], arm)
 
     @settings(max_examples=100, deadline=None)
     @given(sample=samples())
