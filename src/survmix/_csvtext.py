@@ -54,23 +54,43 @@ def compile_format(fmt):
     return pieces[1::2], [text.encode("utf-8") for text in pieces[0::2]]
 
 
-def format_rows(specs, literals, columns):
-    """The UTF-8 bytes of `"".join(fmt % row for row in zip(*columns))` for
-    the format that `compile_format` split into `specs` and `literals`, where
-    a float column gets + 0.0 first (negative zero is written as 0)."""
-    n = len(columns[0])
-    parts = [_literal(literals[0])]
-    for spec, column, literal in zip(specs, columns, literals[1:]):
-        parts += [_field(spec, column), _literal(literal)]
-    planes = np.empty((sum(width for width, _ in parts), n), np.uint8)
-    row = 0
-    for width, fill in parts:
-        fill(planes[row:row + width])
-        row += width
-    del parts
-    text = planes.T.tobytes()
-    del planes
-    return text.translate(None, b"\0")
+def format_tables(tables, columns):
+    """Yield the UTF-8 bytes of `"".join(fmt % row for row in zip(*rows))`
+    for each (specs, literals, names) of `tables` in turn, where
+    `compile_format` split fmt into specs and literals and `rows` are the
+    equal-length `columns[name]` for name in names; a float column gets
+    + 0.0 first (negative zero is written as 0).
+
+    A column is formatted once for each spec it is written with, and its
+    planes are filled into every table, and every field, that writes it. A
+    field is dropped once the last table that writes it is filled, before
+    that table's planes are joined into text.
+    """
+    n = len(next(iter(columns.values())))
+    last = {}  # the last table that writes each (spec, name)
+    for i, (specs, _, names) in enumerate(tables):
+        last.update(dict.fromkeys(zip(specs, names), i))
+    fields = {}
+    for i, (specs, literals, names) in enumerate(tables):
+        parts = [_literal(literals[0])]
+        for key, literal in zip(zip(specs, names), literals[1:]):
+            if key not in fields:
+                fields[key] = _field(key[0], columns[key[1]])
+            parts += [fields[key], _literal(literal)]
+        planes = np.empty((sum(width for width, _ in parts), n), np.uint8)
+        row = 0
+        for width, fill in parts:
+            fill(planes[row:row + width])
+            row += width
+        del parts
+        for key in zip(specs, names):
+            if last[key] == i:
+                fields.pop(key, None)
+        text = planes.T.tobytes()
+        del planes
+        text = text.translate(None, b"\0")
+        yield text
+        del text
 
 
 def _literal(text):

@@ -35,7 +35,7 @@ FIT_FILE = "fit.json"
 ESTIMANDS_FILE = "estimands.json"
 SENSITIVITY_FILE = "sensitivity.csv"
 
-_BLOCK_ROWS = 1 << 14  # rows formatted at a time by _write_columns
+_BLOCK_ROWS = 1 << 14  # rows _write_columns formats at a time, to within 1.5x
 _CHUNK_BYTES = 1 << 18  # bytes of a dataset file parsed at a time by read_dataset_csv
 # the bytes after the header of a dataset file that read_dataset_csv hands to numpy
 _PLAIN_BODY = b"0123456789.eE+-,\n"
@@ -51,9 +51,10 @@ class InputError(ValueError):
     """Bad command line, config or data file; maps to exit code 1."""
 
 
-def _atomic_write(path, chunks):
-    """Write an iterable of bytes (or str, as UTF-8) to `path`, or leave it
-    untouched on failure.
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A binary file that replaces `path` when the with block ends, or is
+    removed, leaving `path` untouched, when the block raises.
 
     The data reach the disk (fsync) before the rename makes them visible, so a
     crash leaves the old file or the complete new one.
@@ -61,8 +62,7 @@ def _atomic_write(path, chunks):
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -72,44 +72,69 @@ def _atomic_write(path, chunks):
         raise
 
 
-def _write_columns(path, header, fmt, columns):
-    """Write a CSV table with one `fmt % row` per index of the equal-length
-    `columns`.
+def _atomic_write(path, chunks):
+    """Write an iterable of bytes (or str, as UTF-8) to `path`, or leave it
+    untouched on failure."""
+    with _atomic_file(path) as fh:
+        for chunk in chunks:
+            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
 
-    Rows are formatted a block at a time in numpy (see _csvtext), so the
-    text held at once stays small. Float columns get + 0.0, which writes
-    negative zero as 0; use "%.9g" for floats, 9 significant digits so that
-    tables are platform-stable ("%.9g" % x equals format(x, ".9g")).
+
+def _write_columns(tables, columns):
+    """Write CSV tables from the named, equal-length `columns`. Each of
+    `tables` is (path, header, fmt, names): one `fmt % row` per index, where
+    `row` holds the columns `names` at that index.
+
+    The n rows are split into max(1, round(n / _BLOCK_ROWS)) near-equal
+    blocks, so no block is a runt tail and none exceeds 1.5 * _BLOCK_ROWS.
+    Each block is formatted in numpy (see _csvtext): each column once per
+    block, however many tables write it, and every table's text for the
+    block is written before the next block starts, so the text held at once
+    stays small. Float columns get + 0.0, which writes negative zero as 0;
+    use "%.9g" for floats, 9 significant digits so that tables are
+    platform-stable ("%.9g" % x equals format(x, ".9g")). Each file is
+    written through _atomic_file, so a failure before the renames leaves
+    every `path` untouched.
     """
     # imported at the first table written: fit and estimands, which write
     # JSON, never load (or, without cached bytecode, compile) the formatter
-    from ._csvtext import compile_format, format_rows
+    from ._csvtext import compile_format, format_tables
 
-    columns = [np.asarray(c) for c in columns]
-    specs, literals = compile_format(fmt)
-
-    def blocks():
-        yield (",".join(header) + "\n").encode("utf-8")
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            yield format_rows(specs, literals, [c[start:start + _BLOCK_ROWS] for c in columns])
-
-    _atomic_write(path, blocks())
+    columns = {name: np.asarray(column) for name, column in columns.items()}
+    formats = [(*compile_format(fmt), names) for _, _, fmt, names in tables]
+    n = len(next(iter(columns.values())))
+    blocks = max(1, round(n / _BLOCK_ROWS))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(_atomic_file(path)) for path, _, _, _ in tables]
+        for fh, (_, header, _, _) in zip(files, tables):
+            fh.write((",".join(header) + "\n").encode("utf-8"))
+        for lo, hi in zip(bounds, bounds[1:]):
+            texts = format_tables(formats, {name: column[lo:hi]
+                                            for name, column in columns.items()})
+            for fh in files:
+                fh.write(next(texts))
 
 
 def write_curve_tables(table, out_dir):
-    """CurveTable -> curves.csv (long format) and hr.csv."""
+    """CurveTable -> curves.csv (long format) and hr.csv, written together."""
     curves_path = os.path.join(out_dir, CURVES_FILE)
-    # one grid point gives two lines, the control row then the research row
-    _write_columns(curves_path, ("t", "arm", "survival", "hazard", "cum_hazard"),
-                   "%.9g,control,%.9g,%.9g,%.9g\n%.9g,research,%.9g,%.9g,%.9g\n",
-                   (table.grid, table.survival_control, table.hazard_control,
-                    table.cum_hazard_control, table.grid, table.survival_research,
-                    table.hazard_research, table.cum_hazard_research))
     hr_path = os.path.join(out_dir, HR_FILE)
-    _write_columns(hr_path, ("t", "hazard_control", "hazard_research", "hazard_ratio"),
-                   "%.9g,%.9g,%.9g,%.9g\n",
-                   (table.grid, table.hazard_control, table.hazard_research,
-                    table.hazard_ratio))
+    columns = {"t": table.grid, "hazard_ratio": table.hazard_ratio}
+    for name in ("survival", "hazard", "cum_hazard"):
+        for arm in ("control", "research"):
+            columns[f"{name}_{arm}"] = getattr(table, f"{name}_{arm}")
+    hr_names = ("t", "hazard_control", "hazard_research", "hazard_ratio")
+    # hr.csv first: curves.csv, formatted last, then drops every field before
+    # its larger text is joined
+    _write_columns(
+        [(hr_path, hr_names, "%.9g,%.9g,%.9g,%.9g\n", hr_names),
+         # one grid point gives two lines, the control row then the research row
+         (curves_path, ("t", "arm", "survival", "hazard", "cum_hazard"),
+          "%.9g,control,%.9g,%.9g,%.9g\n%.9g,research,%.9g,%.9g,%.9g\n",
+          ("t", "survival_control", "hazard_control", "cum_hazard_control",
+           "t", "survival_research", "hazard_research", "cum_hazard_research"))],
+        columns)
     return curves_path, hr_path
 
 
@@ -121,7 +146,7 @@ def write_dataset(dataset, out_dir, reveal_latent=False):
     fmt = ",".join("%d" if _DATASET_COLUMNS[name].dtype is np.int64 else "%.9g"
                    for name in header) + "\n"
     values = dict(vars(dataset), id=dataset.ids)
-    _write_columns(path, header, fmt, [values[name] for name in header])
+    _write_columns([(path, header, fmt, header)], {name: values[name] for name in header})
     return path
 
 
@@ -468,8 +493,8 @@ def cmd_estimands(args):
         rows = censoring_sensitivity(cfg.trial, specs, cfg.sensitivity_replicates)
         sens_path = os.path.join(out_dir, SENSITIVITY_FILE)
         header = ("spec_label", "mean_beta", "mc_se", "n_ok", "n_failed")
-        _write_columns(sens_path, header, "%s,%.9g,%.9g,%d,%d\n",
-                       [[getattr(row, name) for row in rows] for name in header])
+        _write_columns([(sens_path, header, "%s,%.9g,%.9g,%d,%d\n", header)],
+                       {name: [getattr(row, name) for row in rows] for name in header})
         written.append(sens_path)
     print("wrote " + " and ".join(written))
     return 0

@@ -552,7 +552,16 @@ def breslow_baseline(fit, time, event, x):
         raise ValueError("covariate columns do not match the fit")
     w_risk = _suffix_sum(np.exp(x[order] @ fit.coef))[start]
     values = np.cumsum(d / w_risk)
-    variance = np.cumsum(d / w_risk**2)  # Poisson-type, beta held fixed
+    # Poisson-type, beta held fixed: d / w**2 where w**2 is a normal float;
+    # elsewhere w**2 has lost digits or overflowed, and (d / w) / w
+    # overflows only where the variance itself does
+    with np.errstate(over="ignore"):
+        square = w_risk**2
+        normal = (square >= np.finfo(float).tiny) & (square < math.inf)
+        increments = np.divide(d, square, out=np.empty(d.size), where=normal)
+        lost = ~normal
+        increments[lost] = d[lost] / w_risk[lost] / w_risk[lost]
+    variance = np.cumsum(increments)
     times = np.asarray(time, dtype=float)[order[start]]
     return StepCurve(times=times, values=values, variance=variance,
                      n_risk=order.size - start, n_event=d, initial=0.0)

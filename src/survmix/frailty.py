@@ -19,11 +19,13 @@ at t=0 for weights such as 0.7, 0.2, 0.1.
 
 The times are taken in blocks of 512 on the pool of at most two threads, one
 per usable CPU; with one block or one CPU the calling thread takes them all.
-The caller allocates one K x 512 scratch array per thread, so memory does not
-grow with the grid length. Every sum over the strata adds them left to right,
-in the same order at any block width, so a time gets the same bits on any
-grid, in any block, on any thread and as a scalar: the curves are the same
-bytes on one CPU or two.
+The caller allocates two K x 512 scratch arrays per thread (2 MiB at K = 256),
+so memory does not grow with the grid length. A block forms the products
+-rate_k t once: their exponentials are the S terms, and the products
+themselves become the composition in place. Every sum over the strata adds
+them left to right, in the same order at any block width, so a time gets the
+same bits on any grid, in any block, on any thread and as a scalar: the
+curves are the same bytes on one CPU or two.
 """
 
 import math
@@ -93,9 +95,10 @@ def _as_times(t):
     return arr, arr.ndim == 0
 
 
-# times per block: each pool thread reuses one K x _BLOCK scratch array for
-# its blocks, so peak memory does not grow with the grid; at K = 256 one is
-# 1 MiB, which stays in a 2 MiB L2 cache and below numpy's 4 MiB huge-page size
+# times per block: each pool thread reuses two K x _BLOCK scratch arrays for
+# its blocks, so peak memory does not grow with the grid; at K = 256 the two
+# are 2 MiB, which stays in a 2 MiB L2 cache and below numpy's 4 MiB
+# huge-page size
 _BLOCK = 512
 
 
@@ -114,16 +117,17 @@ def _strata_sum(terms):
     return total
 
 
-def _composition(arm, t, out):
-    """Fill out (K x t.size) with the survivor composition at the 1-d times t
-    and return H there.
+def _composition(log_weights, t, out):
+    """Turn out, which holds the products -rate_k t at the 1-d times t
+    (K x t.size), into the survivor composition there, in place, and return
+    H there.
 
-    The terms log w_k - rate_k t are shifted by their maximum over k,
-    exponentiated and normalised in place. H = -(top + log sum), clamped at 0:
-    the rounded sum can put it one step below 0.
+    The terms log w_k - rate_k t (log_weights is the K x 1 column of log w_k)
+    are shifted by their maximum over k, exponentiated and normalised.
+    H = -(top + log sum), clamped at 0: the rounded sum can put it one step
+    below 0.
     """
-    np.multiply.outer(-np.asarray(arm.rates), t, out=out)
-    out += np.log(arm.weights)[:, None]
+    out += log_weights
     top = out.max(axis=0)
     out -= top
     np.exp(out, out=out)
@@ -132,35 +136,43 @@ def _composition(arm, t, out):
     return np.maximum(-(top + np.log(total)), 0.0)
 
 
+def _columns(arm):
+    """The rates of an arm negated, its rates, weights and log weights, each
+    as a K x 1 column."""
+    rates = np.array(arm.rates)[:, None]
+    weights = np.array(arm.weights)[:, None]
+    return -rates, rates, weights, np.log(weights)
+
+
 def _mixture(arm, t, block=_BLOCK):
     """(S, H, h) at the times t, each shaped like t.
 
     The times are taken `block` at a time, and pool thread i evaluates blocks
-    i, i + threads, ... through its own K x block scratch array, so memory
-    does not grow with K x t.size. With one block or one usable CPU the
-    calling thread evaluates them. Every strata sum runs left to right: a
+    i, i + threads, ... through its own two K x block scratch arrays, so
+    memory does not grow with K x t.size. With one block or one usable CPU
+    the calling thread evaluates them. Every strata sum runs left to right: a
     time gets the same bits in any block, on any thread, and as a scalar.
     """
     flat = t.ravel()
-    rates = np.asarray(arm.rates)[:, None]
-    weights = np.asarray(arm.weights)[:, None]
+    negated, rates, weights, log_weights = _columns(arm)
     out = np.empty((3, flat.size))
     starts = range(0, flat.size, block)
     threads = _pool.threads(len(starts))
-    scratch = np.empty((threads, arm.n_strata, min(block, flat.size)))
+    scratch = np.empty((threads, 2, arm.n_strata, min(block, flat.size)))
 
     def evaluate(i):
         for lo in starts[i::threads]:
             tb = flat[lo:lo + block]
-            terms = scratch[i, :, :tb.size]
-            np.multiply(-rates, tb, out=terms)
-            np.exp(terms, out=terms)
+            products, terms = scratch[i, :, :, :tb.size]
+            np.multiply(negated, tb, out=products)
+            np.exp(products, out=terms)
             terms *= weights
             out[0, lo:lo + block] = _strata_sum(terms)
-            # terms then holds the composition, whose rate-weighted sum is h
-            out[1, lo:lo + block] = _composition(arm, tb, terms)
-            terms *= rates
-            out[2, lo:lo + block] = _strata_sum(terms)
+            # the products then become the composition, whose rate-weighted
+            # sum is h
+            out[1, lo:lo + block] = _composition(log_weights, tb, products)
+            products *= rates
+            out[2, lo:lo + block] = _strata_sum(products)
 
     if threads == 1:
         # a pool thread would only add its start, about 0.15 ms
@@ -191,8 +203,9 @@ def survivor_composition(arm, t):
     minimum-rate stratum. Entries sum to 1 at any t.
     """
     t = _as_times(t)[0]
-    comp = np.empty((arm.n_strata, t.size))
-    _composition(arm, t.ravel(), comp)
+    negated, _, _, log_weights = _columns(arm)
+    comp = negated * t.ravel()
+    _composition(log_weights, t.ravel(), comp)
     return comp.reshape((arm.n_strata,) + t.shape)
 
 

@@ -919,14 +919,21 @@ def percent_rows(fmt, columns):
     return "".join(fmt % row for row in zip(*values))
 
 
+def write_table(path, header, fmt, columns):
+    """cli._write_columns of one table, its columns given in the order of
+    fmt's fields."""
+    names = [str(i) for i in range(len(columns))]
+    cli._write_columns([(path, header, fmt, names)], dict(zip(names, columns)))
+
+
 class TestBlockWriter:
     def test_cli_writes_the_tested_formats(self, tmp_path, monkeypatch):
         formats = set()
         write_columns = cli._write_columns
 
-        def spy(path, header, fmt, columns):
-            formats.add(fmt)
-            return write_columns(path, header, fmt, columns)
+        def spy(tables, columns):
+            formats.update(fmt for _, _, fmt, _ in tables)
+            return write_columns(tables, columns)
 
         monkeypatch.setattr(cli, "_write_columns", spy)
         out = str(tmp_path)
@@ -946,7 +953,7 @@ class TestBlockWriter:
         fmt, block, columns = table
         with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "_BLOCK_ROWS", block):
             path = os.path.join(out, "table.csv")
-            cli._write_columns(path, ("a", "b"), fmt, columns)
+            write_table(path, ("a", "b"), fmt, columns)
             assert read(path).decode("utf-8") == "a,b\n" + percent_rows(fmt, columns)
 
     @pytest.fixture
@@ -967,12 +974,53 @@ class TestBlockWriter:
         run("truth", "--out", str(tmp_path))
         assert fallbacks == []
 
+    # rows per block for 10 rows at each _BLOCK_ROWS: one block, a 2-row tail
+    # merged into one block, two blocks, and three with a 1-row tail merged
+    @pytest.mark.parametrize("block_rows, blocks", [(10, [10]), (8, [10]), (5, [5, 5]),
+                                                    (3, [3, 3, 4])])
+    def test_curve_tables_equal_percent_format(self, tmp_path, monkeypatch, fallbacks,
+                                               block_rows, blocks):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        sizes = []
+        format_tables = _csvtext.format_tables
+
+        def counted(tables, columns):
+            sizes.append(len(columns["t"]))
+            return format_tables(tables, columns)
+
+        monkeypatch.setattr(_csvtext, "format_tables", counted)
+        # 1.7142645050000054 lies within 1e-6 of a half-integer once scaled,
+        # so Python formats it; the others take the exponent form or not
+        grid = np.array([0.0, 2.5e-7, 3e-5, 1e-4, 0.5, 1.7142645050000054, 12.25,
+                         123456789.0, 3.5e10, 1e29])
+        names = [f"{name}_{side}" for name in ("survival", "hazard", "cum_hazard")
+                 for side in ("control", "research")]
+        curves = {name: grid[::-1] * (k + 1.5) for k, name in enumerate(names)}
+        table = SimpleNamespace(grid=grid, hazard_ratio=np.sqrt(grid) + 1e-300, **curves)
+        curves_path, hr_path = write_curve_tables(table, str(tmp_path))
+        assert sizes == blocks
+        # the grid is written three times a row, and formatted once
+        assert fallbacks.count(1.7142645050000054) == 1
+        fmt, _ = ROW_FORMATS["curves.csv"]
+        rows = zip(grid, table.survival_control, table.hazard_control,
+                   table.cum_hazard_control, grid, table.survival_research,
+                   table.hazard_research, table.cum_hazard_research)
+        lines = read(curves_path).decode().splitlines()
+        assert lines == ["t,arm,survival,hazard,cum_hazard"] + \
+            "".join(fmt % row for row in rows).splitlines()
+        fmt, _ = ROW_FORMATS["hr.csv"]
+        rows = zip(grid, table.hazard_control, table.hazard_research, table.hazard_ratio)
+        lines = read(hr_path).decode().splitlines()
+        assert lines == ["t,hazard_control,hazard_research,hazard_ratio"] + \
+            "".join(fmt % row for row in rows).splitlines()
+        assert any("e+" in line for line in lines) and any("e-" in line for line in lines)
+
     def test_numpy_writes_the_powers_of_ten(self, tmp_path, fallbacks):
         # log10 puts the values just below a power of ten one decade too
         # high; the writer corrects that rather than handing them to Python
         powers = 10.0 ** np.arange(-13, 30)
         x = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
-        cli._write_columns(str(tmp_path / "t.csv"), ("x",), "%.9g\n", [x])
+        write_table(str(tmp_path / "t.csv"), ("x",), "%.9g\n", [x])
         assert fallbacks == []
         assert read(tmp_path / "t.csv").decode() == "x\n" + percent_rows("%.9g\n", [x])
 
@@ -984,7 +1032,17 @@ class TestBlockWriter:
                    "--out", str(tmp_path)) == 0
         assert number_format_problems(str(tmp_path / "dataset.csv")) == []
 
+    def test_every_curve_table_number_formats_again_to_itself(self, tmp_path, fallbacks):
+        # grid times below 1e-14, which Python formats in the column both
+        # tables share, and hazards from 5e13
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(wide_config_text())
+        assert run("truth", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        assert 5e-15 in fallbacks
+        for table in ("curves.csv", "hr.csv"):
+            assert number_format_problems(str(tmp_path / table)) == []
+
     def test_nul_in_a_text_field_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="NUL"):
-            cli._write_columns(str(tmp_path / "t.csv"), ("a",), "%s\n", [["a\0b"]])
+            write_table(str(tmp_path / "t.csv"), ("a",), "%s\n", [["a\0b"]])
         assert os.listdir(tmp_path) == []

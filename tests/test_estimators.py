@@ -1,6 +1,8 @@
 import hashlib
+import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -498,6 +500,37 @@ class TestBreslowBaseline:
         assert np.array_equal(baseline.n_event, [1, 1])
         assert baseline.values == pytest.approx(np.cumsum(1.0 / w_risk), rel=1e-15)
         assert baseline.variance == pytest.approx(np.cumsum(1.0 / w_risk**2), rel=1e-15)
+
+    def test_underflowing_risk_weight_square_gives_inf_variance_without_warning(self):
+        # w_risk**2 of the last event time is subnormal: d / w_risk**2 overflowed
+        # with a RuntimeWarning, while the baseline itself is finite
+        time = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+        event = np.array([0, 1, 1, 0, 1, 1], dtype=bool)
+        x = np.column_stack([[0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 324.0, 0.0, 0.0, 0.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = cox_fit(time, event, x)
+            assert fit.converged
+            baseline = breslow_baseline(fit, time, event, x)
+        assert np.all(np.isfinite(baseline.values))
+        assert np.isfinite(baseline.variance[0]) and baseline.variance[-1] == np.inf
+
+    def test_risk_weight_near_1e_minus_154_gives_accurate_variance(self):
+        # w = exp(x beta) is about 1e-154 at the last event time, so w**2 is
+        # subnormal, but the variance increment 1 / w**2 is finite
+        time, event = np.array([1.0, 2.0]), np.array([1, 1], dtype=bool)
+        x = np.full(2, math.log(1.1e-154))
+        fit = CoxFit(names=("x",), coef=np.ones(1), se=np.ones(1), iterations=0,
+                     converged=True, loglik_at_max=0.0, score_at_max=np.zeros(1),
+                     n_events=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            baseline = breslow_baseline(fit, time, event, x)
+        w = Fraction(float(np.exp(x[0])))
+        assert np.finfo(float).tiny > float(w * w) > 0.0
+        exact = [1 / (2 * w) ** 2, 1 / (2 * w) ** 2 + 1 / w ** 2]
+        assert baseline.variance.tolist() == pytest.approx([float(v) for v in exact],
+                                                           rel=4e-16)
 
 
 # events tied with each other and with censored rows, censored rows tied with
