@@ -18,7 +18,10 @@ H is clamped at 0, its least value; unclamped, rounding puts it at -1.1e-16
 at t=0 for weights such as 0.7, 0.2, 0.1.
 
 The times are taken in blocks of 512 on the pool of at most two threads, one
-per usable CPU; with one block or one CPU the calling thread takes them all.
+per usable CPU, each taking the next block from one queue; with one block or
+one CPU the calling thread takes them all. A block's ufuncs run with numpy's
+buffer at the block width, so the columns and rows they broadcast are read
+in place rather than copied into the buffer.
 The caller allocates two K x 512 scratch arrays per thread (2 MiB at K = 256),
 so memory does not grow with the grid length. A block forms the products
 -rate_k t once: their exponentials are the S terms, and the products
@@ -30,6 +33,7 @@ curves are the same bytes on one CPU or two.
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,11 +151,16 @@ def _columns(arm):
 def _mixture(arm, t, block=_BLOCK):
     """(S, H, h) at the times t, each shaped like t.
 
-    The times are taken `block` at a time, and pool thread i evaluates blocks
-    i, i + threads, ... through its own two K x block scratch arrays, so
-    memory does not grow with K x t.size. With one block or one usable CPU
-    the calling thread evaluates them. Every strata sum runs left to right: a
-    time gets the same bits in any block, on any thread, and as a scalar.
+    The times are taken `block` at a time. Each thread takes the next block
+    from one queue and evaluates it through its own two K x block scratch
+    arrays, so memory does not grow with K x t.size and a thread on a slower
+    CPU takes fewer blocks. With one block or one usable CPU the calling
+    thread evaluates them. A block's ufuncs run with numpy's buffer at
+    _BLOCK, so the K x 1 columns and 1 x block rows they broadcast are read
+    in place instead of copied out to the default 8192-element buffer; the
+    buffer size lives in numpy's errstate, so it holds only inside the
+    block loop. Every strata sum runs left to right: a time gets the same
+    bits in any block, on any thread, and as a scalar.
     """
     flat = t.ravel()
     negated, rates, weights, log_weights = _columns(arm)
@@ -159,20 +168,28 @@ def _mixture(arm, t, block=_BLOCK):
     starts = range(0, flat.size, block)
     threads = _pool.threads(len(starts))
     scratch = np.empty((threads, 2, arm.n_strata, min(block, flat.size)))
+    queue = iter(starts)
+    lock = threading.Lock()
 
     def evaluate(i):
-        for lo in starts[i::threads]:
-            tb = flat[lo:lo + block]
-            products, terms = scratch[i, :, :, :tb.size]
-            np.multiply(negated, tb, out=products)
-            np.exp(products, out=terms)
-            terms *= weights
-            out[0, lo:lo + block] = _strata_sum(terms)
-            # the products then become the composition, whose rate-weighted
-            # sum is h
-            out[1, lo:lo + block] = _composition(log_weights, tb, products)
-            products *= rates
-            out[2, lo:lo + block] = _strata_sum(products)
+        with np.errstate():
+            np.setbufsize(_BLOCK)
+            while True:
+                with lock:
+                    lo = next(queue, None)
+                if lo is None:
+                    return
+                tb = flat[lo:lo + block]
+                products, terms = scratch[i, :, :, :tb.size]
+                np.multiply(negated, tb, out=products)
+                np.exp(products, out=terms)
+                terms *= weights
+                out[0, lo:lo + block] = _strata_sum(terms)
+                # the products then become the composition, whose
+                # rate-weighted sum is h
+                out[1, lo:lo + block] = _composition(log_weights, tb, products)
+                products *= rates
+                out[2, lo:lo + block] = _strata_sum(products)
 
     if threads == 1:
         # a pool thread would only add its start, about 0.15 ms

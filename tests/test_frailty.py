@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from dataclasses import fields, replace
 
@@ -435,19 +436,24 @@ class TestFixedOrderEvaluation:
 
     def test_strata_sum_is_left_to_right(self):
         # guards numpy's row order for axis-0 reductions, which the
-        # fixed-order evaluation rests on
-        rng = np.random.default_rng(20260808)
-        for width in range(1, 65):
-            k = int(rng.integers(1, 300))
-            terms = np.exp(rng.uniform(-30.0, 5.0, size=(k, width + 3)))
-            for block in (terms, terms[:, 2:2 + width]):
-                want = []
-                for column in block.T.tolist():
-                    total = column[0]
-                    for value in column[1:]:
-                        total += value
-                    want.append(total)
-                assert np.array_equal(_bits(_strata_sum(block)), _bits(want)), (k, width)
+        # fixed-order evaluation rests on, at numpy's default buffer size and
+        # at the one _mixture sets around its blocks
+        for bufsize in (np.getbufsize(), _BLOCK):
+            rng = np.random.default_rng(20260808)
+            with np.errstate():
+                np.setbufsize(bufsize)
+                for width in range(1, 65):
+                    k = int(rng.integers(1, 300))
+                    terms = np.exp(rng.uniform(-30.0, 5.0, size=(k, width + 3)))
+                    for block in (terms, terms[:, 2:2 + width]):
+                        want = []
+                        for column in block.T.tolist():
+                            total = column[0]
+                            for value in column[1:]:
+                                total += value
+                            want.append(total)
+                        assert np.array_equal(_bits(_strata_sum(block)), _bits(want)), \
+                            (bufsize, k, width)
 
     def test_memory_does_not_grow_with_the_grid(self):
         # 256 strata x 2e5 points: K x P temporaries would need > 800 MB
@@ -574,6 +580,52 @@ class TestTruthThreads:
         assert evaluated_in and all(name.startswith("survmix-truth") if cpus == 2
                                     else name == caller for name in evaluated_in)
         assert truth_threads() == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_callers_numpy_state_is_unchanged(self, monkeypatch, cpus, fail):
+        # the blocks run with numpy's buffer at _BLOCK; neither it nor an
+        # errstate may leak out to the caller, whichever thread ran them
+        grid = np.linspace(0.0, 60.0, 4 * _BLOCK)
+        error = ValueError("block failed")
+        with np.errstate(over="raise", divide="ignore"):
+            np.setbufsize(4 * _BLOCK)
+            before = np.getbufsize(), np.geterr()
+            try:
+                self.run(monkeypatch, cpus, _mixture, geometric_arm(3), grid,
+                         error=error, fail_from=grid[_BLOCK] if fail else None)
+            except ValueError as raised:
+                assert fail and raised is error
+            else:
+                assert not fail
+            assert (np.getbufsize(), np.geterr()) == before
+        assert truth_threads() == 0
+
+    def test_blocks_are_taken_from_one_queue(self, monkeypatch):
+        # the first truth thread sleeps at each block it takes, so the other
+        # takes more of them from the queue; the bytes do not change
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)),
+                            raising=False)
+        arm = geometric_arm(3)
+        grid = np.linspace(0.0, 60.0, 7 * _BLOCK + 1)
+        taken = []
+
+        def slowed_composition(log_weights, t, out):
+            name = threading.current_thread().name
+            taken.append((name, t[0]))
+            if name == "survmix-truth_0":
+                time.sleep(0.05)
+            return _composition(log_weights, t, out)
+
+        monkeypatch.setattr(survmix.frailty, "_composition", slowed_composition)
+        threaded = _mixture(arm, grid)
+        assert truth_threads() == 0
+        assert sorted(start for _, start in taken) == list(grid[::_BLOCK])
+        names = [name for name, _ in taken]
+        assert set(names) <= {"survmix-truth_0", "survmix-truth_1"}
+        assert names.count("survmix-truth_0") < names.count("survmix-truth_1")
+        serial, _ = self.run(monkeypatch, 1, _mixture, arm, grid)
+        assert threaded.tobytes() == serial.tobytes()
 
 
 def test_default_grid_shape():
