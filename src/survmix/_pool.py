@@ -1,8 +1,10 @@
 """The pool of at most two threads that independent blocks of work run on.
 
 numpy releases the GIL in its large loops, so two threads overlap on two
-CPUs. Each task runs in a copy of the caller's context, so numpy's errstate
-set around a call holds in the pool threads as it does in the caller.
+CPUs; with one usable CPU, or one item, the calling thread runs the items.
+Each item runs in a copy of the caller's context, on either path: numpy's
+errstate set around a call holds in the items as it does in the caller, and
+numpy state an item sets does not reach the caller.
 """
 
 import contextvars
@@ -25,7 +27,7 @@ def threads(n_items):
 
 def map(fn, items, name):
     """[fn(item) for item in items] on threads(len(items)) threads named
-    `name`.
+    `name`; with fewer than two, in order in the calling thread.
 
     The first item, in order, whose call raises has its error raised once the
     items before it end; the items not yet started are cancelled. Every
@@ -34,10 +36,12 @@ def map(fn, items, name):
     context = contextvars.copy_context()
 
     def run(item):
-        # one context cannot be entered by two threads at once
+        # a copy per item: one context cannot be entered by two threads at
+        # once, and no item sees the state another item set
         return context.copy().run(fn, item)
 
-    # max: an executor needs one worker, and starts none for no items
-    with ThreadPoolExecutor(max(1, threads(len(items))),
-                            thread_name_prefix=name) as pool:
+    workers = threads(len(items))
+    if workers < 2:
+        return [run(item) for item in items]
+    with ThreadPoolExecutor(workers, thread_name_prefix=name) as pool:
         return list(pool.map(run, items))

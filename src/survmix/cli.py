@@ -72,14 +72,6 @@ def _atomic_file(path):
         raise
 
 
-def _atomic_write(path, chunks):
-    """Write an iterable of bytes (or str, as UTF-8) to `path`, or leave it
-    untouched on failure."""
-    with _atomic_file(path) as fh:
-        for chunk in chunks:
-            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-
-
 def _write_columns(tables, columns):
     """Write CSV tables from the named, equal-length `columns`. Each of
     `tables` is (path, header, fmt, names): one `fmt % row` per index, where
@@ -155,13 +147,13 @@ def read_dataset_csv(path):
 
     A line ends at a newline byte or at the end of the file, and one
     carriage return at its end is dropped; each line is decoded as UTF-8 on
-    its own. A first pass counts the rows and checks whether every byte after
-    the header, once each CRLF is read as LF, is one that numpy's C parser
-    and the per-row parser read alike; the second reads whole lines a chunk
-    at a time into the columns, so no more than a chunk of the file is held
-    at once. numpy parses a chunk of such a plain file, its CRLFs made LFs;
-    the per-row parser, whose errors name the bad row, parses every other
-    chunk.
+    its own. Both passes read whole lines a chunk at a time, so no more than
+    a chunk of the file is held at once. The first counts the rows and checks
+    whether every byte after the header, once each CRLF is read as LF, is one
+    that numpy's C parser and the per-row parser read alike; the second reads
+    the lines into the columns. numpy parses a chunk of such a plain file,
+    its CRLFs made LFs; the per-row parser, whose errors name the bad row,
+    parses every other chunk.
     """
     try:
         with open(path, "rb") as fh:
@@ -169,19 +161,16 @@ def read_dataset_csv(path):
             if not first:
                 raise InputError(f"{path}: empty file")
             header = _check_header(path, _line_text(path, 1, first).split(","))
-            rows, plain, crlf, held, last = 0, True, False, b"", b"\n"
-            while block := fh.read(_CHUNK_BYTES):
+            rows, plain, crlf, last = 0, True, False, b"\n"
+            # whole lines, so no block ends inside a \r\n
+            while block := fh.read(_CHUNK_BYTES) + fh.readline():
                 rows += block.count(b"\n")
                 last = block[-1:]
                 if plain:
-                    # each \r\n read as \n; a block that ends on the \r of a
-                    # \r\n holds that \r for the next
-                    block, held = held + block, b"\r" if last == b"\r" else b""
-                    if b"\r" in block:
+                    if b"\r" in block:  # each \r\n read as \n
                         crlf = True
-                        block = block[:len(block) - len(held)].replace(b"\r\n", b"\n")
+                        block = block.replace(b"\r\n", b"\n")
                     plain = not block.translate(None, _PLAIN_BODY)
-            plain = plain and not held  # a file that ends on a \r
             rows += last != b"\n"  # a last row with no newline
             if not rows:
                 raise InputError(f"{path}: no data rows")
@@ -323,7 +312,9 @@ def _check_values(path, out, names):
 
 def _write_json(path, payload):
     # a nan or inf is a bug upstream, never valid JSON in an output file
-    _atomic_write(path, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    with _atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
     return path
 
 

@@ -123,10 +123,11 @@ def landmark_contrast(source, t_star, kind="difference"):
 
 
 def _rmst_truth(arm, tau):
-    """Closed form: sum_k w_k (1 - exp(-rate_k tau)) / rate_k."""
+    """Closed form: sum_k w_k (1 - exp(-rate_k tau)) / rate_k, with
+    1 - exp(-x) as -expm1(-x), which keeps its digits where x is small."""
     w = np.asarray(arm.weights)
     lam = np.asarray(arm.rates)
-    return float(np.sum(w * (1.0 - np.exp(-lam * tau)) / lam))
+    return float(np.sum(w * -np.expm1(-lam * tau) / lam))
 
 
 def _rmst_step(curve, tau):

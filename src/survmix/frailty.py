@@ -19,9 +19,9 @@ at t=0 for weights such as 0.7, 0.2, 0.1.
 
 The times are taken in blocks of 512 on the pool of at most two threads, one
 per usable CPU, each taking the next block from one queue; with one block or
-one CPU the calling thread takes them all. A block's ufuncs run with numpy's
-buffer at the block width, so the columns and rows they broadcast are read
-in place rather than copied into the buffer.
+one CPU the pool runs in the calling thread, which takes them all. A block's
+ufuncs run with numpy's buffer at the block width, so the columns and rows
+they broadcast are read in place rather than copied into the buffer.
 The caller allocates two K x 512 scratch arrays per thread (2 MiB at K = 256),
 so memory does not grow with the grid length. A block forms the products
 -rate_k t once: their exponentials are the S terms, and the products
@@ -154,13 +154,13 @@ def _mixture(arm, t, block=_BLOCK):
     The times are taken `block` at a time. Each thread takes the next block
     from one queue and evaluates it through its own two K x block scratch
     arrays, so memory does not grow with K x t.size and a thread on a slower
-    CPU takes fewer blocks. With one block or one usable CPU the calling
-    thread evaluates them. A block's ufuncs run with numpy's buffer at
-    _BLOCK, so the K x 1 columns and 1 x block rows they broadcast are read
-    in place instead of copied out to the default 8192-element buffer; the
-    buffer size lives in numpy's errstate, so it holds only inside the
-    block loop. Every strata sum runs left to right: a time gets the same
-    bits in any block, on any thread, and as a scalar.
+    CPU takes fewer blocks. With one block or one usable CPU the pool runs
+    the one evaluation in the calling thread. A block's ufuncs run with
+    numpy's buffer at _BLOCK, so the K x 1 columns and 1 x block rows they
+    broadcast are read in place instead of copied out to the default
+    8192-element buffer; the buffer size lives in numpy's errstate, so it
+    holds only inside the block loop. Every strata sum runs left to right: a
+    time gets the same bits in any block, on any thread, and as a scalar.
     """
     flat = t.ravel()
     negated, rates, weights, log_weights = _columns(arm)
@@ -191,11 +191,7 @@ def _mixture(arm, t, block=_BLOCK):
                 products *= rates
                 out[2, lo:lo + block] = _strata_sum(products)
 
-    if threads == 1:
-        # a pool thread would only add its start, about 0.15 ms
-        evaluate(0)
-    else:
-        _pool.map(evaluate, range(threads), "survmix-truth")
+    _pool.map(evaluate, range(threads), "survmix-truth")
     return out.reshape((3,) + t.shape)
 
 

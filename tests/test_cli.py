@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from survmix import CensoringSpec, TrialConfig, simulate
 from survmix import _csvtext, cli
-from survmix.cli import (InputError, _atomic_write, main, parse_censoring_list,
+from survmix.cli import (InputError, _atomic_file, main, parse_censoring_list,
                          read_dataset_csv, write_curve_tables, write_dataset)
 from survmix.config import default_config, default_config_text
 
@@ -596,7 +596,8 @@ class TestCliPlumbing:
         target = tmp_path / "x.txt"
         target.mkdir()  # os.replace cannot put a file over a directory
         with pytest.raises(OSError):
-            _atomic_write(str(target), "text\n")
+            with _atomic_file(str(target)) as fh:
+                fh.write(b"text\n")
         assert os.listdir(tmp_path) == ["x.txt"]
 
     def test_atomic_write_syncs_before_replace(self, tmp_path, monkeypatch):
@@ -613,7 +614,9 @@ class TestCliPlumbing:
 
         monkeypatch.setattr(os, "fsync", fake_fsync)
         monkeypatch.setattr(os, "replace", fake_replace)
-        _atomic_write(str(tmp_path / "x.txt"), ["ab\n", "cd\n"])
+        with _atomic_file(str(tmp_path / "x.txt")) as fh:
+            fh.write(b"ab\n")
+            fh.write(b"cd\n")
         assert calls == [("fsync", 6), ("replace", 6)]
         assert read(tmp_path / "x.txt") == b"ab\ncd\n"
 
@@ -691,7 +694,7 @@ def dataset_bytes(draw):
     breaks = ["\n"] * 12 + (["\r\n", "\n\n", "\x0c", "\r", "\x1c", "\x85"]
                              if odd_rate else [])
     text = "".join(line + draw(st.sampled_from(breaks)) for line in lines[:-1])
-    endings = ["\n", "", "\r\n", "\n\n"] if odd_rate else ["\n", ""]
+    endings = ["\n", "", "\r\n", "\n\n", "\r"] if odd_rate else ["\n", ""]
     text += lines[-1] + draw(st.sampled_from(endings))
     return text.encode()
 
@@ -772,12 +775,16 @@ class TestCsvLayer:
         columns = read_dataset_csv(path)
         unterminated = tmp_path / "unterminated.csv"  # no newline after the last row
         unterminated.write_bytes(read(path)[:-1])
+        # a lone \r ends the last row: outside numpy's bytes, whatever the chunk
+        lone_cr = tmp_path / "lone_cr.csv"
+        lone_cr.write_bytes(read(path)[:-1] + b"\r")
         for chunk_bytes in (1, 2, 7, 43, 64):
             monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
-            for name in (path, str(unterminated)):
+            for name, parser in ((path, "numpy"), (str(unterminated), "numpy"),
+                                 (str(lone_cr), "rows")):
                 parsed_by.clear()
                 assert_same_columns(read_dataset_csv(name), columns)
-                assert parsed_by and set(parsed_by) == {"numpy"}
+                assert parsed_by and set(parsed_by) == {parser}
 
     def test_bad_row_in_a_late_chunk_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_CHUNK_BYTES", 16)
@@ -803,7 +810,7 @@ class TestCsvLayer:
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(read(path).replace(b"\n", b"\r\n"))
         # numpy reads every chunk of the written file and of its CRLF copy,
-        # whose 16-byte blocks end on the \r of a \r\n too
+        # whose 16-byte reads end on the \r of a \r\n too
         for name, out in ((path, "lf"), (crlf, "crlf")):
             parsed_by.clear()
             assert run("fit", str(name), "--out", str(tmp_path / out)) == 0

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -148,6 +149,22 @@ class TestRmst:
         value = rmst(two_point_truth, "control", tau).value
         assert 0.0 < value <= tau
         assert value == pytest.approx(tau, rel=1e-5)
+
+    @pytest.mark.parametrize("weights,rates,tau", [
+        ((0.5, 0.5), (0.1, 0.5), 1e-6),  # two_point_truth's control arm
+        ((0.5, 0.5), (0.05, 0.25), 1e-6),  # and its research arm
+        ((1.0,), (1e-10,), 1.0),
+    ])
+    def test_short_horizon_keeps_its_digits(self, weights, rates, tau):
+        # 1 - exp(-rate tau) cancels where rate tau is small; the reference
+        # is the closed form in 50 digits of the same binary inputs
+        arm = MixtureArm(weights=weights, rates=rates)
+        value = rmst(TwoArmTruth(control=arm, research=arm), "control", tau).value
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = sum(Decimal(w) * (1 - (-Decimal(r) * Decimal(tau)).exp()) / Decimal(r)
+                        for w, r in zip(arm.weights, arm.rates))
+        assert value == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
     def test_estimated_source_exact_step_area(self):
         source = small_estimated_source()
@@ -356,7 +373,8 @@ def replicate_threads():
 
 class TestReplicateThreads:
     """_replicate_log_hrs fits its blocks of 4 replicates on a pool of at most
-    two survmix-replicates threads, one per usable CPU."""
+    two survmix-replicates threads, one per usable CPU; one block, or one CPU,
+    is fitted in the calling thread."""
     SPECS = TestBatchedReplicatesMatchReference.SPECS + [
         CensoringSpec(admin_time=1e-6)]  # no events: nan
     N_PER_ARM, BLOCK = 40, 4
@@ -402,8 +420,9 @@ class TestReplicateThreads:
         np.testing.assert_array_equal(threaded, serial)
         assert np.isnan(serial[-1]).all() and np.isfinite(serial[0]).all()
         assert len(alive) == len(serial_alive) == blocks * len(self.SPECS)
-        assert 1 <= min(alive) and max(alive) <= min(2, blocks)
-        assert set(serial_alive) == {1}
+        # one block, or one CPU, is fitted in the calling thread
+        assert (min(alive) >= 1) == (blocks > 1) and max(alive) <= min(2, blocks)
+        assert set(serial_alive) == {0}
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("fail_at", [0, 2], ids=["first", "later"])
@@ -435,6 +454,7 @@ class TestReplicateThreads:
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 estimands._replicate_log_hrs(config, self.SPECS, 2 * self.BLOCK)
-        assert fitted_in and all(name.startswith("survmix-replicates")
-                                 for name in fitted_in)
+        caller = threading.current_thread().name
+        assert fitted_in and all(name.startswith("survmix-replicates") if cpus == 2
+                                 else name == caller for name in fitted_in)
         assert replicate_threads() == 0
