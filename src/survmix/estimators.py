@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
+
 Z_975 = 1.959964  # normal 97.5% quantile pinned for reproducible intervals
 
 SCORE_TOL = 1e-8
@@ -157,16 +159,37 @@ def _sort_and_group(time, event):
     Group j is the j-th distinct time with an event; its risk set is every
     sorted row from start[j] on. Returns the stable sort order, the sorted
     event flags, start and the deaths d of each group.
+
+    The stable order is numpy's default (SIMD) argsort with the row indices
+    of each run of tied times then put in increasing order: one sort of the
+    keys run * n + index over the tied rows only. That is the permutation of
+    argsort(kind="stable"), whichever kernel numpy picks, at a fraction of
+    its cost.
     """
     time, event = _sample(time, event)
     if not event.any():
         raise ValueError("sample contains no events")
-    # stable: the Cox sums add tied rows in input order
-    order = np.argsort(time, kind="stable")
+    n = time.size
+    order = np.argsort(time)
     time = time[order]
+    # head[i]: sorted row i starts a distinct time (head[n] closes the last)
+    head = np.empty(n + 1, dtype=bool)
+    head[0] = head[n] = True
+    np.not_equal(time[1:], time[:-1], out=head[1:n])
+    # stable: the Cox sums add tied rows in input order
+    tied = np.flatnonzero(~(head[:-1] & head[1:]))
+    if tied.size:
+        offset = np.cumsum(head[tied], dtype=np.int64)
+        offset *= n
+        key = order[tied]
+        key += offset
+        key.sort()
+        key -= offset
+        order[tied] = key
+        del tied, offset, key
     event = event[order]
     # first sorted row of each distinct time, then of each with an event
-    first = np.flatnonzero(np.r_[True, time[1:] != time[:-1]])
+    first = np.flatnonzero(head[:n])
     d = np.add.reduceat(event.astype(np.int64), first)
     return order, event, first[d > 0], d[d > 0]
 
@@ -208,18 +231,55 @@ def nelson_aalen(time, event):
     return StepCurve(times, values, variance, n_risk, d, initial=0.0)
 
 
+# Rows from which the columns of a work buffer are suffix-summed on the pool,
+# where they outweigh the start of two fresh threads. Four columns took 0.43
+# ms on the calling thread against 1.3 ms on two at 1e4 rows, 1.6 ms either
+# way at 3e4, and 4.5 ms against 2.3 ms at 5e4 (2-vCPU Xeon, numpy 2.4)
+_POOL_ROWS = 32_768
+
+
 def _suffix_sum(out):
-    """sum out[i:] for every i, in place along axis 0, by recursive doubling.
+    """sum out[..., i:] for every i, in place along the last axis, by
+    recursive doubling: each row out[c] of a 2-d `out` gets the bits it would
+    alone.
 
     Rounding error grows with log2(n) rather than n, which keeps the Cox
-    score resolvable below its 1e-8 tolerance even for ~1e6 rows. Each column
-    of a 2-d `out` gets the same bits as it would alone.
+    score resolvable below its 1e-8 tolerance even for ~1e6 rows. The rows
+    are contiguous and independent: from _POOL_ROWS entries on, each is a
+    separate item of the pool's survmix-cox threads; below, one pass of the
+    doubling adds all rows at once in the calling thread.
     """
-    n = out.shape[0]
-    shift = 1
-    while shift < n:
-        out[: n - shift] += out[shift:]
-        shift *= 2
+    def doubling(a):
+        n = a.shape[-1]
+        shift = 1
+        while shift < n:
+            a[..., : n - shift] += a[..., shift:]
+            shift *= 2
+
+    if out.shape[-1] >= _POOL_ROWS:
+        _pool.map(doubling, list(np.atleast_2d(out)), "survmix-cox")
+    else:
+        doubling(out)
+    return out
+
+
+# numpy's OpenBLAS runs a matrix-vector product of more than 9216 entries on
+# threads of its own, which keep spinning for tens of milliseconds after it
+# returns, on the CPU that the second survmix-cox thread needs: the pooled
+# suffix sums then took 21 ms against 14. A block of this many rows (of up to
+# four covariates) stays on the calling thread, and each row gets the same
+# bits in any block of two or more rows (numpy takes a one-row product
+# through another kernel)
+_MATVEC_ROWS = 2048
+
+
+def _matvec(a, v, out):
+    """a @ v into `out`, a block of _MATVEC_ROWS rows at a time; the last block
+    takes one row more rather than leave a row alone."""
+    begin = 0
+    for end in [*range(_MATVEC_ROWS, a.shape[0] - 1, _MATVEC_ROWS), a.shape[0]]:
+        np.matmul(a[begin:end], v, out=out[begin:end])
+        begin = end
     return out
 
 
@@ -233,21 +293,26 @@ class _CoxData:
     """A sample's risk sets and sorted covariates, as the Cox computations
     read them.
 
-    loglik_score_info works in one (n, q) buffer allocated here: column 0
-    holds w = exp(x beta), columns 1..p hold x_k w, and the rest hold the
-    products x_k x_l w that `_pair_column` does not map onto another column.
+    loglik_score_info works in one (q, n) buffer allocated here, column-major:
+    each of its q columns is one contiguous row work[c] over the n sorted
+    rows. Column 0 holds w = exp(x beta), columns 1..p hold x_k w, and the
+    rest hold the products x_k x_l w that `_pair_column` does not map onto
+    another column.
     """
 
     def __init__(self, time, event, x, names=None):
         order, event, self.start, self.d = _sort_and_group(time, event)
-        self.x = _covariate_columns(x, order.size)[order]
+        # np.take copies each row as one chunk: several times faster than x[order]
+        self.x = np.take(_covariate_columns(x, order.size), order, axis=0)
         self.p = self.x.shape[1]
         self.names = tuple(names) if names is not None else tuple(
             f"x{j}" for j in range(self.p))
         if len(self.names) != self.p:
             raise ValueError("one covariate name per column required")
+        # constant among the events: every event row equals the first one
+        first = np.argmax(event)
         for j, name in enumerate(self.names):
-            if np.ptp(self.x[event, j]) == 0.0:
+            if not np.any((self.x[:, j] != self.x[first, j]) & event):
                 raise _ConstantCovariate(
                     f"covariate {name} is constant among events; "
                     "the partial likelihood has no maximum"
@@ -275,7 +340,7 @@ class _CoxData:
                 else:
                     self._pair_column[k, l] = 1 + self.p + len(self._products)
                     self._products.append((k, l))
-        self._work = np.empty((order.size, 1 + self.p + len(self._products)))
+        self._work = np.empty((1 + self.p + len(self._products), order.size))
 
     def loglik_score_info(self, beta):
         """Breslow partial log likelihood and its first two derivatives.
@@ -284,30 +349,45 @@ class _CoxData:
         not finite, and _newton halves the step, so numpy need not warn.
         """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            work, x, p = self._work, self.x, self.p
+            work, x, p, start = self._work, self.x, self.p, self.start
             # exp and log go through contiguous arrays: numpy's vector and
-            # strided loops may round them differently. exp works in place in
-            # the matmul result, the same contiguous loop
-            w = x @ beta
-            work[:, 0] = np.exp(w, out=w)
-            del w
-            np.multiply(x, work[:, :1], out=work[:, 1:1 + p])
+            # strided loops may round them differently
+            np.exp(_matvec(x, beta, work[0]), out=work[0])
+            np.multiply(x.T, work[0], out=work[1:1 + p])
             for c, (k, l) in enumerate(self._products, start=1 + p):
-                np.multiply(work[:, 1 + k], x[:, l], out=work[:, c])
-            # suffix sums give risk-set aggregates at the head row of each group;
-            # each gather copies its columns straight out of the buffer
+                np.multiply(work[1 + k], x[:, l], out=work[c])
+            # suffix sums give risk-set aggregates at the head row of each group
             _suffix_sum(work)
-            w_risk = work[self.start, 0]
-            ll = float(np.sum(self.event_x_sum @ beta) - np.sum(self.d * np.log(w_risk)))
-            xbar = work[self.start, 1:1 + p]
-            xbar /= w_risk[:, None]
-            # einsum's summation order follows the operand's layout: the gather
-            # gives a C-contiguous (G, p, p) array
-            centred = work[self.start[:, None, None], self._pair_column]
-            centred /= w_risk[:, None, None]
+            w_risk = work[0].take(start)
+            # xbar (G, p) and the centred (G, p, p) array are C-contiguous, as
+            # einsum's and the score's summation orders need; each is filled a
+            # buffer column at a time. Column 0 is read by now, and columns
+            # 1..p once xbar is: their heads hold the gathers and products
+            # below (take's 'clip' mode writes straight into them)
+            G = start.size
+            gathered, product = work[0, :G], work[1, :G]
+            ll = float(np.sum(_matvec(self.event_x_sum, beta, gathered))
+                       - np.sum(self.d * np.log(w_risk)))
+            xbar = np.empty((G, p))
+            for k in range(p):
+                np.take(work[1 + k], start, out=gathered, mode="clip")
+                np.divide(gathered, w_risk, out=xbar[:, k])
+            centred = np.empty((G, p, p))
             for k in range(p):
                 for l in range(p):
-                    centred[:, k, l] -= xbar[:, k] * xbar[:, l]
+                    # a product column that _pair_column maps onto x_k w gives
+                    # xbar_k, and a pair sharing its mirror's column gets its bits
+                    c = self._pair_column[k, l]
+                    if l < k and c == self._pair_column[l, k]:
+                        centred[:, k, l] = centred[:, l, k]
+                        continue
+                    if c <= p:
+                        ratio = xbar[:, c - 1]
+                    else:
+                        ratio = np.take(work[c], start, out=gathered, mode="clip")
+                        ratio /= w_risk
+                    np.multiply(xbar[:, k], xbar[:, l], out=product)
+                    np.subtract(ratio, product, out=centred[:, k, l])
             info = np.einsum("j,jkl->kl", self.d.astype(float), centred)
             # the score from d_j xbar_j, scaled in place now that info is done
             xbar *= self.d[:, None]
@@ -550,7 +630,7 @@ def breslow_baseline(fit, time, event, x):
     x = _covariate_columns(x, order.size)
     if x.shape[1] != len(fit.names):
         raise ValueError("covariate columns do not match the fit")
-    w_risk = _suffix_sum(np.exp(x[order] @ fit.coef))[start]
+    w_risk = _suffix_sum(np.exp(np.take(x, order, axis=0) @ fit.coef))[start]
     values = np.cumsum(d / w_risk)
     # Poisson-type, beta held fixed: d / w**2 where w**2 is a normal float;
     # elsewhere w**2 has lost digits or overflowed, and (d / w) / w

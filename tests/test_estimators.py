@@ -1,6 +1,8 @@
 import hashlib
 import math
+import os
 import re
+import threading
 import warnings
 from fractions import Fraction
 
@@ -13,7 +15,9 @@ from survmix import (CoxFit, EstimatedCurves, MixtureArm, TrialConfig, TwoArmTru
                      breslow_baseline, cox_fit, cox_fit_dataset, fit_report,
                      kaplan_meier, marginal_density, marginal_survival,
                      nelson_aalen, period_specific_cox, simulate)
-from survmix.estimators import _CoxData, _newton, check_cutpoints, cox_log_hr_stack
+from survmix import _pool
+from survmix.estimators import (_MATVEC_ROWS, _POOL_ROWS, _CoxData, _matvec, _newton,
+                                _sort_and_group, check_cutpoints, cox_log_hr_stack)
 
 from conftest import brute_partial_loglik
 
@@ -369,6 +373,155 @@ class TestWorkBuffer:
                     assert same_bits(a, b)
         # the second call reuses the buffer; the first results stay put
         assert all(same_bits(a, b) for a, b in zip(first, kept))
+
+
+def reference_sort_and_group(time, event):
+    """_sort_and_group's four outputs from numpy's stable argsort (timsort)."""
+    time, event = np.asarray(time, dtype=float), np.asarray(event, dtype=bool)
+    order = np.argsort(time, kind="stable")
+    time, event = time[order], event[order]
+    first = np.flatnonzero(np.r_[True, time[1:] != time[:-1]])
+    d = np.add.reduceat(event.astype(np.int64), first)
+    return order, event, first[d > 0], d[d > 0]
+
+
+# positive times of every kind the order meets: subnormal, tiny, huge
+EXTREME_TIMES = np.array([5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-14,
+                          1.0, 1e9, 1e300, 1.7976931348623157e308])
+
+
+@st.composite
+def tied_samples(draw):
+    """Times from numpy draws at any length up to 20000, in the tie patterns
+    the period and Kaplan-Meier sorts meet, with at least one event."""
+    kind = draw(st.sampled_from(["distinct", "all_tied", "one_run", "pairs",
+                                 "few_values", "extreme"]))
+    n = draw(st.integers(1, 20_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "distinct":
+        time = rng.permutation(np.linspace(0.5, 30.0, n))
+    elif kind == "all_tied":
+        time = np.full(n, 2.5)
+    elif kind == "one_run":  # as in the first period: most rows censored at its end
+        time = np.where(rng.random(n) < 0.8, 1.0, rng.uniform(0.01, 1.0, n))
+    elif kind == "pairs":
+        time = rng.permutation(np.repeat(rng.permutation(n // 2 + 1) + 1.0, 2)[:n])
+    elif kind == "few_values":
+        time = rng.integers(1, draw(st.integers(2, 6)), n).astype(float)
+    else:
+        time = rng.choice(EXTREME_TIMES, n)
+    event = rng.random(n) < draw(st.sampled_from([0.05, 0.6, 1.0]))
+    event[rng.integers(n)] = True
+    return time, event
+
+
+class TestStableOrder:
+    """_sort_and_group's order is numpy's default argsort with each run of
+    tied times put back in input order: exactly the stable permutation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sample=tied_samples())
+    @example(sample=(np.array([3.0]), np.array([True])))
+    @example(sample=(np.array([2.0, 2.0]), np.array([False, True])))
+    @example(sample=(np.array([2.0, 1.0]), np.array([True, False])))
+    def test_equals_the_stable_argsort(self, sample):
+        time, event = sample
+        got = _sort_and_group(time, event)
+        want = reference_sort_and_group(time, event)
+        assert np.array_equal(got[0], np.argsort(time, kind="stable"))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def random_problem(n, p, seed):
+    """A tied, censored sample of n rows with p covariates: a 0/1 arm, then
+    continuous and small-integer columns."""
+    rng = np.random.default_rng(seed)
+    time = np.round(rng.exponential(4.0, n), 2) + 0.01
+    event = rng.random(n) < 0.7
+    x = np.column_stack([rng.integers(0, 2, n), rng.normal(0.0, 0.5, n),
+                         rng.integers(0, 3, n)])[:, :p].astype(float)
+    return time, event, x
+
+
+def fit_bytes(fit):
+    return (fit.coef.tobytes(), fit.se.tobytes(), np.float64(fit.loglik_at_max).tobytes(),
+            fit.score_at_max.tobytes(), fit.iterations)
+
+
+POOL_MAP = _pool.map
+
+
+class TestCoxThreads:
+    """The Cox work buffer's columns are suffix-summed on the survmix-cox
+    threads from _POOL_ROWS rows on, one per usable CPU, and in the calling
+    thread below; the fits get the same bytes either way."""
+
+    def run(self, monkeypatch, cpus, f, *args):
+        """f(*args) with `cpus` usable CPUs, and for each pooled column the
+        number of columns pooled with it and the thread that ran it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        ran_in = []
+
+        def recording_map(fn, items, name):
+            def run(item):
+                ran_in.append((len(items), threading.current_thread().name))
+                return fn(item)
+            return POOL_MAP(run, items, name)
+
+        monkeypatch.setattr(_pool, "map", recording_map)
+        return f(*args), ran_in
+
+    def fits(self, time, event, x):
+        fits = [cox_fit(time, event, x[:, :p]) for p in (1, 2, 3)]
+        periods = period_specific_cox(time, event, x[:, :2], (1.0, 4.0))
+        fits += [fit for fit in periods.fits if fit is not None]
+        curves = [breslow_baseline(fit, time, event, x[:, :fit.coef.size])
+                  for fit in fits[:3]]
+        return ([fit_bytes(fit) for fit in fits],
+                [[getattr(c, name).tobytes() for name in ("values", "variance")]
+                 for c in curves])
+
+    @pytest.mark.parametrize("n", [2_000, _POOL_ROWS + 1_000], ids=["below-cut", "above-cut"])
+    def test_same_bytes_on_one_cpu_or_two(self, monkeypatch, n):
+        problem = random_problem(n, 3, seed=n)
+        one, one_ran = self.run(monkeypatch, 1, self.fits, *problem)
+        two, two_ran = self.run(monkeypatch, 2, self.fits, *problem)
+        assert one == two
+        assert len(one[0]) == 5  # three fits and two periods
+        caller = threading.current_thread().name
+        if n < _POOL_ROWS:
+            assert one_ran == two_ran == []
+        else:
+            # breslow_baseline's one column runs in the calling thread
+            assert one_ran and {name for _, name in one_ran} == {caller}
+            assert {items > 1 for items, _ in two_ran} == {True, False}
+            assert all(name.startswith("survmix-cox") == (items > 1)
+                       for items, name in two_ran)
+        assert not any(t.name.startswith("survmix-cox") for t in threading.enumerate())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pooled_evaluation_equals_the_reference(self, monkeypatch, cpus):
+        time, event, x = random_problem(_POOL_ROWS, 3, seed=7)
+        data = _CoxData(time, event, x)
+        beta = np.array([-0.4, 0.3, 0.2])
+        got, ran_in = self.run(monkeypatch, cpus, data.loglik_score_info, beta)
+        assert len(ran_in) == data._work.shape[0]
+        for a, b in zip(got, reference_loglik_score_info(data, beta)):
+            assert same_bits(a, b)
+
+
+class TestMatvec:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_blocks_keep_the_bits_of_one_product(self, p):
+        # every tail length, and the one-row tail that joins the block before it
+        rng = np.random.default_rng(p)
+        for n in (1, 2, 3, _MATVEC_ROWS - 1, _MATVEC_ROWS + 1, 2 * _MATVEC_ROWS + 2,
+                  5 * _MATVEC_ROWS + 7, 100_003):
+            a = rng.normal(0.0, 3.0, (n, p))
+            v = rng.normal(0.0, 1.0, p)
+            assert _matvec(a, v, np.empty(n)).tobytes() == (a @ v).tobytes(), n
 
 
 class TestPeriodSpecificCox:

@@ -455,23 +455,46 @@ class TestFixedOrderEvaluation:
                         assert np.array_equal(_bits(_strata_sum(block)), _bits(want)), \
                             (bufsize, k, width)
 
-    def test_memory_does_not_grow_with_the_grid(self):
-        # 256 strata x 2e5 points: K x P temporaries would need > 800 MB
-        code = (
-            "import resource, numpy as np\n"
-            "from survmix import MixtureArm, TwoArmTruth, truth_curves\n"
-            "k = 256\n"
-            "rates = [0.02 * 100.0 ** (i / (k - 1)) for i in range(k)]\n"
-            "truth = TwoArmTruth(MixtureArm([1 / k] * k, rates),\n"
-            "                    MixtureArm([1 / k] * k, [r / 2 for r in rates]))\n"
-            "truth_curves(truth, np.linspace(0.0, 60.0, 200_000))\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    # 256 strata x 2e5 points: K x P temporaries would need > 800 MB. The
+    # child prints its own peak RSS in KiB: VmHWM on Linux, where ru_maxrss
+    # starts from the high-water mark of the process that spawned it, and
+    # ru_maxrss elsewhere
+    GRID_CHILD = (
+        "import resource, numpy as np\n"
+        "from survmix import MixtureArm, TwoArmTruth, truth_curves\n"
+        "k = 256\n"
+        "rates = [0.02 * 100.0 ** (i / (k - 1)) for i in range(k)]\n"
+        "truth = TwoArmTruth(MixtureArm([1 / k] * k, rates),\n"
+        "                    MixtureArm([1 / k] * k, [r / 2 for r in rates]))\n"
+        "truth_curves(truth, np.linspace(0.0, 60.0, 200_000))\n"
+        "try:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        print(next(int(line.split()[1]) for line in fh\n"
+        "                   if line.startswith('VmHWM:')))\n"
+        "except OSError:\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+
+    def grid_child_peak_mb(self, code):
         package_root = os.path.dirname(os.path.dirname(survmix.__file__))
-        env = dict(os.environ, PYTHONPATH=package_root)
+        env = dict(os.environ, PYTHONPATH=package_root, GRID_CHILD=self.GRID_CHILD)
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, f"exit {result.returncode}: {result.stderr}"
-        peak_mb = int(result.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+        return int(result.stdout.split()[-1]) / 1024
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        peak_mb = self.grid_child_peak_mb(self.GRID_CHILD)
+        assert peak_mb < 200.0, f"peak RSS {peak_mb:.1f} MB"
+
+    def test_memory_bound_reads_the_child_not_its_parent(self):
+        # a parent that peaked at 300 MB before it spawned the child
+        parent = ("import os, subprocess, sys\n"
+                  "import numpy as np\n"
+                  "block = np.ones(300 * 2**20 // 8)\n"
+                  "del block\n"
+                  "sys.exit(subprocess.run([sys.executable, '-c',\n"
+                  "                         os.environ['GRID_CHILD']]).returncode)\n")
+        peak_mb = self.grid_child_peak_mb(parent)
         assert peak_mb < 200.0, f"peak RSS {peak_mb:.1f} MB"
 
 

@@ -70,8 +70,9 @@ def test_crlf_read_holds_chunks_not_the_file(dataset_path, tmp_path):
 
 
 def test_cox_fit_working_set(dataset_path):
-    # 106 bytes a row measured: the sorted covariates, one (n, 4) buffer and
-    # the per-event-time arrays, with the gathers of one evaluation
+    # 106 bytes a row measured: the sorted covariates, one column-major
+    # (4, n) buffer and the per-event-time arrays, with the gathers of one
+    # evaluation
     columns = read_dataset_csv(dataset_path)
     x = covariate_matrix(columns, ("arm", "stratum"))
     peak = traced_peak(lambda: cox_fit(columns["observed_time"], columns["event"], x))
