@@ -37,8 +37,9 @@ SENSITIVITY_FILE = "sensitivity.csv"
 
 _BLOCK_ROWS = 1 << 14  # rows _write_columns formats at a time, to within 1.5x
 _CHUNK_BYTES = 1 << 18  # bytes of a dataset file parsed at a time by read_dataset_csv
-# the bytes after the header of a dataset file that read_dataset_csv hands to numpy
-_PLAIN_BODY = b"0123456789.eE+-,\n"
+# the bytes after the header of a dataset file that read_dataset_csv hands to
+# numpy, which reads \r\n as a line end and, as the per-row parser does, rejects any other \r
+_PLAIN_BODY = b"0123456789.eE+-,\r\n"
 # the dataset grammar of a field: ASCII digits with an optional sign, and for
 # floats a point, an exponent, inf or nan. Python's int and float take more:
 # underscores (1_0), surrounding whitespace and non-ASCII digits
@@ -147,13 +148,12 @@ def read_dataset_csv(path):
 
     A line ends at a newline byte or at the end of the file, and one
     carriage return at its end is dropped; each line is decoded as UTF-8 on
-    its own. Both passes read whole lines a chunk at a time, so no more than
-    a chunk of the file is held at once. The first counts the rows and checks
-    whether every byte after the header, once each CRLF is read as LF, is one
-    that numpy's C parser and the per-row parser read alike; the second reads
-    the lines into the columns. numpy parses a chunk of such a plain file,
-    its CRLFs made LFs; the per-row parser, whose errors name the bad row,
-    parses every other chunk.
+    its own. Both passes read the file a chunk at a time, so no more than a
+    chunk of it is held at once. The first counts the rows and checks
+    whether every byte after the header is one that numpy's C parser and the
+    per-row parser read alike; the second reads the lines into the columns.
+    numpy parses each chunk of such a plain file; the per-row parser, whose
+    errors name the bad row, parses every other chunk.
     """
     try:
         with open(path, "rb") as fh:
@@ -161,16 +161,11 @@ def read_dataset_csv(path):
             if not first:
                 raise InputError(f"{path}: empty file")
             header = _check_header(path, _line_text(path, 1, first).split(","))
-            rows, plain, crlf, last = 0, True, False, b"\n"
-            # whole lines, so no block ends inside a \r\n
-            while block := fh.read(_CHUNK_BYTES) + fh.readline():
+            rows, plain, last = 0, True, b"\n"
+            while block := fh.read(_CHUNK_BYTES):
                 rows += block.count(b"\n")
                 last = block[-1:]
-                if plain:
-                    if b"\r" in block:  # each \r\n read as \n
-                        crlf = True
-                        block = block.replace(b"\r\n", b"\n")
-                    plain = not block.translate(None, _PLAIN_BODY)
+                plain = plain and not block.translate(None, _PLAIN_BODY)
             rows += last != b"\n"  # a last row with no newline
             if not rows:
                 raise InputError(f"{path}: no data rows")
@@ -182,10 +177,7 @@ def read_dataset_csv(path):
                 start, stop = stop, stop + len(lines)
                 if stop > rows:  # more rows than the first pass counted
                     break
-                records = None
-                if plain:
-                    records = _parse_plain([line.replace(b"\r\n", b"\n") for line in lines]
-                                           if crlf else lines, dtype)
+                records = _parse_plain(lines, dtype) if plain else None
                 if records is None:
                     records = _parse_rows(path, header, lines, start + 2)
                 for name in header:
@@ -451,7 +443,10 @@ def cmd_estimands(args):
         source = EstimatedCurves.from_sample(time, event, arm)
         # conventions: landmark at median follow-up and RMST to the last
         # event, each cut at the end of the shorter arm's follow-up
-        median_followup = float(np.median(time))
+        with np.errstate(over="ignore"):
+            median_followup = float(np.median(time))
+        if median_followup == np.inf:  # the two middle times sum past the largest float
+            median_followup = float(np.median(time / 2) * 2)  # halving them is exact
         last_event = float(time[event].max())
         landmark_t = args.landmark if args.landmark is not None \
             else min(median_followup, source.max_supported_time)

@@ -8,7 +8,6 @@ closed-form truth or from Kaplan-Meier curves of a dataset.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,8 @@ from . import _pool, rng
 # cox_fit_dataset and simulate are not called here: they are the
 # per-replicate reference of censoring_sensitivity, and perfbench/tracing.py
 # wraps them under these names
-from .estimators import (StepCurve, _arm, _sample, cox_fit_dataset, cox_log_hr_stack,
-                         kaplan_meier)
+from .estimators import (StepCurve, _arm, _check_integer, _sample, cox_fit_dataset,
+                         cox_log_hr_stack, kaplan_meier)
 from .frailty import TwoArmTruth, cumulative_hazard, marginal_survival
 from .trial import censored_replicates, simulate
 
@@ -238,8 +237,7 @@ def censoring_sensitivity(config, specs, replicates):
     CPU; the rows are byte-identical with one thread or two. Replicates
     whose fit fails or does not converge are excluded and counted.
     """
-    if not isinstance(replicates, numbers.Integral):
-        raise ValueError(f"replicates must be an integer, got {replicates!r}")
+    _check_integer("replicates", replicates)
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     rows = []

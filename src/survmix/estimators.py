@@ -7,6 +7,7 @@ cumulative baseline hazard.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,13 @@ def _check(name, values, rule, first_row=0):
         index = np.unravel_index(bad[0], values.shape)
         where = f"row {index[-1] + first_row}" + "".join(f" of sample {r}" for r in index[:-1])
         raise ValueError(f"{where}: {name} must be {text}, got {values[index]:g}")
+
+
+def _check_integer(name, value):
+    """Raise a ValueError unless `value` is an integer; bool is an Integral,
+    but True is no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _flags(name, values):

@@ -32,13 +32,13 @@ curves are the same bytes on one CPU or two.
 """
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _pool
+from .estimators import _check_integer
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -330,7 +330,5 @@ def default_grid(t_min=0.0, t_max=30.0, points=601):
     t_min, t_max = float(t_min), float(t_max)
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise ValueError(f"grid min and max must be finite, got {t_min:g} and {t_max:g}")
-    # bool is an Integral, but True is no count
-    if isinstance(points, bool) or not isinstance(points, numbers.Integral):
-        raise ValueError(f"grid points must be an integer, got {points!r}")
+    _check_integer("grid points", points)
     return check_grid(np.linspace(t_min, t_max, points))

@@ -16,14 +16,13 @@ parallelism cannot change a dataset.
 """
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
-from .estimators import _FLAG, _TIME, _check
+from .estimators import _FLAG, _TIME, _check, _check_integer
 from .frailty import TwoArmTruth
 
 COUPLING_COMONOTONE = "comonotone"
@@ -91,10 +90,7 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # bool is an Integral, but True is no count
-        if isinstance(self.n_per_arm, bool) \
-                or not isinstance(self.n_per_arm, numbers.Integral):
-            raise ValueError(f"n_per_arm must be an integer, got {self.n_per_arm}")
+        _check_integer("n_per_arm", self.n_per_arm)
         if self.n_per_arm < 1:
             raise ValueError("n_per_arm must be >= 1")
         if self.coupling not in COUPLINGS:

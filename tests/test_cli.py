@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -25,6 +27,10 @@ LATENT_HEADER = ("id,arm,stratum,potential_time_0,potential_time_1,"
 def _fmt(x):
     """Reference float format of every CSV table, one value at a time."""
     return format(float(x) + 0.0, ".9g")
+
+# six rows whose two middle times sum past the largest float
+OVERFLOW_MEDIAN_CSV = ("id,arm,observed_time,event\n0,0,1e308,1\n1,0,1.5e308,0\n"
+                       "2,0,1.7e308,1\n3,1,1e308,0\n4,1,1.4e308,1\n5,1,1.7e308,1\n")
 
 IDENTICAL_ARMS = """
 [truth.control]
@@ -413,6 +419,20 @@ class TestEstimandsCommand:
         assert reports["landmark_difference"]["per_arm"] == {"control": 0.7,
                                                              "research": 0.25}
 
+    def test_default_landmark_where_the_middle_times_overflow(self, tmp_path):
+        # the two middle times, 1.4e308 and 1.5e308, sum past the largest
+        # float: the landmark is their midpoint, with no overflow warning
+        path = tmp_path / "huge.csv"
+        path.write_text(OVERFLOW_MEDIAN_CSV)
+        out = tmp_path / "est"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("estimands", "--source", str(path), "--out", str(out)) == 0
+        reports = {r["name"]: r for r in json.loads((out / "estimands.json").read_text())}
+        assert reports["landmark_difference"]["horizon"] == 1.45e308
+        assert reports["landmark_difference"]["per_arm"] == {
+            "control": pytest.approx(2 / 3), "research": 0.5}
+
     def test_default_ratio_time_where_both_survivals_are_below_one(self, tmp_path):
         # arm 1 has no event by the landmark, the pooled median 7.5, where its
         # survival is 1: the ratio time defaults to 8, its first event
@@ -731,6 +751,14 @@ def assert_same_columns(got, columns):
 class TestCsvLayer:
     @settings(max_examples=400, deadline=None)
     @given(data=dataset_bytes())
+    # numpy reads \r\n as a line end and rejects any other \r: a \r inside a
+    # field, \r\r\n, a blank CRLF line, a \r before a comma, and a CRLF file
+    # whose last row ends in \r
+    @example(data=b"id,arm,observed_time,event\n0,0,1\r.5,1\n1,1,2.5,0\n")
+    @example(data=b"id,arm,observed_time,event\r\n0,0,1.5,1\r\r\n1,1,2.5,0\r\n")
+    @example(data=b"id,arm,observed_time,event\r\n0,0,1.5,1\r\n\r\n1,1,2.5,0\r\n")
+    @example(data=b"id,arm,observed_time,event\n0,0\r,1.5,1\n1,1,2.5,0\n")
+    @example(data=b"id,arm,observed_time,event\r\n0,0,1.5,1\r\n1,1,2.5,0\r")
     def test_fast_reader_agrees_with_row_parser(self, data):
         def outcome(path, chunk_bytes, parse_plain):
             with mock.patch.object(cli, "_CHUNK_BYTES", chunk_bytes), \
@@ -765,7 +793,7 @@ class TestCsvLayer:
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(read(path).replace(b"\n", b"\r\n"))
         parsed_by.clear()
-        # numpy reads it too, each CRLF read as LF, to the same columns
+        # numpy reads it too, each \r\n a line end, to the same columns
         assert_same_columns(read_dataset_csv(str(crlf)), columns)
         assert parsed_by == ["numpy"]
 
@@ -775,16 +803,15 @@ class TestCsvLayer:
         columns = read_dataset_csv(path)
         unterminated = tmp_path / "unterminated.csv"  # no newline after the last row
         unterminated.write_bytes(read(path)[:-1])
-        # a lone \r ends the last row: outside numpy's bytes, whatever the chunk
+        # a lone \r ends the last row, which numpy reads as a line end too
         lone_cr = tmp_path / "lone_cr.csv"
         lone_cr.write_bytes(read(path)[:-1] + b"\r")
         for chunk_bytes in (1, 2, 7, 43, 64):
             monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
-            for name, parser in ((path, "numpy"), (str(unterminated), "numpy"),
-                                 (str(lone_cr), "rows")):
+            for name in (path, str(unterminated), str(lone_cr)):
                 parsed_by.clear()
                 assert_same_columns(read_dataset_csv(name), columns)
-                assert parsed_by and set(parsed_by) == {parser}
+                assert parsed_by and set(parsed_by) == {"numpy"}
 
     def test_bad_row_in_a_late_chunk_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_CHUNK_BYTES", 16)
@@ -1053,3 +1080,73 @@ class TestBlockWriter:
         with pytest.raises(ValueError, match="NUL"):
             write_table(str(tmp_path / "t.csv"), ("a",), "%s\n", [["a\0b"]])
         assert os.listdir(tmp_path) == []
+
+
+# the commands the contract runs, None standing for the dataset path
+CONTRACT_COMMANDS = (("fit", None), ("fit", None, "--covariates", "arm,stratum"),
+                     ("fit", None, "--cutpoints", "1,4"), ("estimands", "--source", None))
+# the smallest and largest positive floats, and ties among the times between
+CONTRACT_TIMES = (5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 2.5, 4.0, 1e300,
+                  1.7e308, 1.7976931348623157e308)
+
+
+@st.composite
+def contract_datasets(draw):
+    """The LF bytes of a 2-11-row dataset CSV whose last row ends in "",
+    "\n" or a lone "\r": ties, all censored and one arm only come often."""
+    stratum = draw(st.booleans())
+    lines = ["id,arm,stratum,observed_time,event" if stratum else "id,arm,observed_time,event"]
+    times = st.one_of(st.sampled_from(CONTRACT_TIMES),
+                      st.floats(5e-324, 1.7976931348623157e308))
+    for i in range(draw(st.integers(2, 11))):
+        fields = [str(i), draw(st.sampled_from("01"))]
+        if stratum:
+            fields.append(draw(st.sampled_from("01")))
+        fields += [repr(draw(times)), draw(st.sampled_from("01"))]
+        lines.append(",".join(fields))
+    return ("\n".join(lines) + draw(st.sampled_from(("", "\n", "\r")))).encode()
+
+
+class TestCliContract:
+    """On any small dataset, each command exits 0 with finite JSON, or 1 with
+    one error line: no traceback and no warning, the same bytes on a rerun and
+    on the CRLF copy of the file."""
+
+    @staticmethod
+    def outcome(argv, out):
+        """The exit code and output file, or the exit code and error line, of
+        a run with every warning an error."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main([*argv, "--out", out])
+        error = stderr.getvalue()
+        if code == 1:
+            assert error.startswith("survmix: error: ") and error.count("\n") == 1 \
+                and error.endswith("\n"), error
+            return code, error
+        assert code == 0 and not error, (code, error)
+        text = read(os.path.join(out, cli.FIT_FILE if argv[0] == "fit" else cli.ESTIMANDS_FILE))
+
+        def no_constant(name):  # NaN, Infinity or -Infinity
+            raise AssertionError(f"{name} in {text!r}")
+
+        json.loads(text, parse_constant=no_constant)
+        return code, text
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=contract_datasets(), command=st.sampled_from(CONTRACT_COMMANDS))
+    # the two middle times sum past the largest float: np.median overflowed
+    @example(data=OVERFLOW_MEDIAN_CSV.encode(), command=CONTRACT_COMMANDS[3])
+    def test_exit_0_with_finite_json_or_1_with_one_error_line(self, data, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            argv = [path if arg is None else arg for arg in command]
+            with open(path, "wb") as fh:
+                fh.write(data)
+            first = self.outcome(argv, os.path.join(tmp, "lf"))
+            assert self.outcome(argv, os.path.join(tmp, "rerun")) == first
+            with open(path, "wb") as fh:
+                fh.write(data.replace(b"\n", b"\r\n"))
+            assert self.outcome(argv, os.path.join(tmp, "crlf")) == first

@@ -258,7 +258,7 @@ class TestCensoringSensitivity:
         with pytest.raises(ValueError, match="replicates"):
             censoring_sensitivity(config, [CensoringSpec()], replicates=1)
 
-    @pytest.mark.parametrize("replicates", [3.0, 2.5, "3"])
+    @pytest.mark.parametrize("replicates", [3.0, 2.5, "3", True])
     def test_replicates_must_be_an_integer(self, two_point_truth, replicates):
         config = TrialConfig(truth=two_point_truth, n_per_arm=100, seed=55)
         with pytest.raises(ValueError, match=f"^replicates must be an integer, got "

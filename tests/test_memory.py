@@ -59,9 +59,9 @@ def test_read_holds_records_and_columns_only(dataset_path):
 
 
 def test_crlf_read_holds_chunks_not_the_file(dataset_path, tmp_path):
-    # numpy reads a CRLF file a chunk at a time too, its CRLFs made LFs: beyond
-    # the columns, one chunk's lines, their LF copies and records, about 5.2
-    # chunks measured
+    # numpy reads a CRLF file a chunk at a time too, each \r\n a line end:
+    # beyond the columns, one chunk's lines and records, about 5.2 chunks
+    # measured, as for the LF file
     crlf = tmp_path / "crlf.csv"
     with open(dataset_path, "rb") as fh:
         crlf.write_bytes(fh.read().replace(b"\n", b"\r\n"))
