@@ -342,7 +342,7 @@ def parse_censoring_list(raw):
 def _load_run_config(args):
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
-        cfg = replace(cfg, trial=replace(cfg.trial, seed=args.seed))
+        cfg = replace(cfg, trial=_checked("--seed:", replace, cfg.trial, seed=args.seed))
     return cfg
 
 
@@ -465,10 +465,19 @@ def cmd_estimands(args):
                 raise InputError("no log-survival ratio time: the control and research "
                                  "survivals are never both in (0, 1)")
 
+    def named(flag, key):
+        """Where a time came from, for its error: the flag, the key or the dataset."""
+        if getattr(args, flag[2:]) is not None:
+            return f"{flag}:"
+        return f"{key}:" if args.source == "truth" else f"{args.source}:"
+
     reports = [
-        landmark_contrast(source, landmark_t, kind="difference"),
-        rmst(source, "difference", rmst_tau),
-        log_survival_ratio(source, ratio_t),
+        _checked(named("--landmark", "estimands.landmark"), landmark_contrast, source,
+                 landmark_t, kind="difference"),
+        _checked(named("--rmst", "estimands.rmst_horizon"), rmst, source, "difference",
+                 rmst_tau),
+        _checked(named("--landmark", "estimands.ratio_time"), log_survival_ratio, source,
+                 ratio_t),
     ]
     out_dir = _ensure_out_dir(args, cfg)
     path = _write_json(os.path.join(out_dir, ESTIMANDS_FILE),

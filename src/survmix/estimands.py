@@ -126,7 +126,8 @@ def _rmst_truth(arm, tau):
     1 - exp(-x) as -expm1(-x), which keeps its digits where x is small."""
     w = np.asarray(arm.weights)
     lam = np.asarray(arm.rates)
-    return float(np.sum(w * -np.expm1(-lam * tau) / lam))
+    with np.errstate(over="ignore"):  # -inf past the largest float: expm1 is -1
+        return float(np.sum(w * -np.expm1(-lam * tau) / lam))
 
 
 def _rmst_step(curve, tau):

@@ -482,28 +482,28 @@ def _newton(evaluate, m, p):
     """Safeguarded Newton-Raphson on m independent log likelihoods at once.
 
     evaluate(beta) returns the log likelihood (m,), score (m, p) and
-    information (m, p, p) at the (m, p) coefficients `beta`. Every row starts
-    at 0 and moves on its own: a step is halved while it would decrease the
-    row's log likelihood or make it, its score or its information not
-    finite, and the row stops once max|score| < SCORE_TOL, at
-    MAX_ITERATIONS, at a singular information, when |beta| passes
-    DIVERGENCE_BOUND or when it stalls. Returns beta, ll, score, info,
-    iterations and converged, one entry per row.
+    information (m, p, p) at the (m, p) coefficients `beta`, row r from
+    beta[r] alone, so each halving evaluation is taken whole. Every row
+    starts at 0 and moves on its own: a step is halved while it would
+    decrease the row's log likelihood or make it, its score or its
+    information not finite. A row stops once max|score| < SCORE_TOL, at
+    MAX_ITERATIONS, or as diverged (a singular information, or |beta| past
+    DIVERGENCE_BOUND) or stalled (beta no longer moves). Returns beta, ll,
+    score, info, iterations and converged, one entry per row.
     """
     beta = np.zeros((m, p))
     ll, score, info = evaluate(beta)
     iterations = np.zeros(m, dtype=np.int64)
     diverged = np.zeros(m, dtype=bool)
-    stopped = np.zeros(m, dtype=bool)
+    stalled = np.zeros(m, dtype=bool)
     while True:
-        active = ~stopped & (iterations < MAX_ITERATIONS) \
+        active = ~(diverged | stalled) & (iterations < MAX_ITERATIONS) \
             & (np.max(np.abs(score), axis=1) >= SCORE_TOL)
         if not active.any():
             break
         iterations += active
         delta, singular = _newton_steps(info, score, active)
         diverged |= singular
-        stopped |= singular
         active &= ~singular
         # halve steps that decrease the log likelihood by more than its own
         # floating-point evaluation noise; exact comparison would flip on
@@ -511,25 +511,21 @@ def _newton(evaluate, m, p):
         ll_slack = 1e-12 * (1.0 + np.abs(ll))
         step = np.ones(m)
         candidate, ll_new, score_new, info_new = beta, ll, score, info
-        halving = active
+        halving = active  # the same array: later updates must not use &=
         while halving.any():
-            candidate = np.where(halving[:, None], beta + step[:, None] * delta, candidate)
-            ll_try, score_try, info_try = evaluate(candidate)
-            ll_new = np.where(halving, ll_try, ll_new)
-            score_new = np.where(halving[:, None], score_try, score_new)
-            info_new = np.where(halving[:, None, None], info_try, info_new)
-            finite = np.isfinite(ll_try)
-            if not (np.isfinite(score_try).all() and np.isfinite(info_try).all()):
-                finite &= np.isfinite(score_try).all(axis=1) \
-                    & np.isfinite(info_try).all(axis=(1, 2))
-            halving = halving & ((ll_try < ll - ll_slack) | ~finite) & (step > 2.0**-20)
-            step = np.where(halving, 0.5 * step, step)
+            # a row with delta 0 gets beta + 0.0, bit for bit beta (never -0.0)
+            candidate = beta + step[:, None] * delta
+            ll_new, score_new, info_new = evaluate(candidate)
+            finite = np.isfinite(ll_new) & np.isfinite(score_new).all(axis=1) \
+                & np.isfinite(info_new).all(axis=(1, 2))
+            halving = halving & ((ll_new < ll - ll_slack) | ~finite) & (step > 2.0**-20)
+            step[halving] *= 0.5
         moved = np.max(np.abs(candidate - beta), axis=1)
         beta, ll, score, info = candidate, ll_new, score_new, info_new
         size = np.max(np.abs(beta), axis=1)
         diverged |= active & (size > DIVERGENCE_BOUND)
         # stalled at numerical precision; the score decides
-        stopped |= active & ((size > DIVERGENCE_BOUND) | (moved < 1e-14 * (1.0 + size)))
+        stalled |= active & (moved < 1e-14 * (1.0 + size))
     converged = ~diverged & (np.max(np.abs(score), axis=1) < SCORE_TOL)
     return beta, ll, score, info, iterations, converged
 

@@ -181,13 +181,17 @@ def _mixture(arm, t, block=_BLOCK):
                     return
                 tb = flat[lo:lo + block]
                 products, terms = scratch[i, :, :, :tb.size]
-                np.multiply(negated, tb, out=products)
+                # a rate * t past the largest float is -inf: an exact 0 term
+                with np.errstate(over="ignore"):
+                    np.multiply(negated, tb, out=products)
                 np.exp(products, out=terms)
                 terms *= weights
                 out[0, lo:lo + block] = _strata_sum(terms)
                 # the products then become the composition, whose
-                # rate-weighted sum is h
-                out[1, lo:lo + block] = _composition(log_weights, tb, products)
+                # rate-weighted sum is h; where every term is 0, H is nan,
+                # which CurveTable refuses
+                with np.errstate(invalid="ignore"):
+                    out[1, lo:lo + block] = _composition(log_weights, tb, products)
                 products *= rates
                 out[2, lo:lo + block] = _strata_sum(products)
 
@@ -217,7 +221,8 @@ def survivor_composition(arm, t):
     """
     t = _as_times(t)[0]
     negated, _, _, log_weights = _columns(arm)
-    comp = negated * t.ravel()
+    with np.errstate(over="ignore"):
+        comp = negated * t.ravel()
     _composition(log_weights, t.ravel(), comp)
     return comp.reshape((arm.n_strata,) + t.shape)
 
@@ -243,7 +248,9 @@ def marginal_density(arm, t):
 def hazard_ratio(truth, t):
     """Marginal hazard ratio research / control at time t."""
     t, scalar = _as_times(t)
-    hr = _mixture(truth.research, t)[2] / _mixture(truth.control, t)[2]
+    research, control = _mixture(truth.research, t)[2], _mixture(truth.control, t)[2]
+    with np.errstate(over="ignore"):  # inf past the largest float
+        hr = research / control
     return float(hr) if scalar else hr
 
 
@@ -312,7 +319,8 @@ class CurveTable:
 
     @property
     def hazard_ratio(self):
-        return self.hazard_research / self.hazard_control
+        with np.errstate(over="ignore"):  # inf past the largest float
+            return self.hazard_research / self.hazard_control
 
 
 def truth_curves(truth, grid):
@@ -331,4 +339,8 @@ def default_grid(t_min=0.0, t_max=30.0, points=601):
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise ValueError(f"grid min and max must be finite, got {t_min:g} and {t_max:g}")
     _check_integer("grid points", points)
-    return check_grid(np.linspace(t_min, t_max, points))
+    # an end near the largest float can overflow linspace's arithmetic even
+    # where the grid is finite; a grid that is not, check_grid refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(t_min, t_max, points)
+    return check_grid(grid)

@@ -208,7 +208,10 @@ def _censor(seed, ids, arm, t0, t1, specs):
         if spec.admin_time is not None:
             censor = np.minimum(censor, spec.admin_time)
         if spec.rate is not None:
-            censor = np.minimum(censor, draws / spec.rate)
+            # past the largest float the censoring time is inf, the exact
+            # answer; the scope closes before the yield, which is the caller's
+            with np.errstate(over="ignore"):
+                censor = np.minimum(censor, draws / spec.rate)
         yield np.minimum(t_assigned, censor), t_assigned <= censor
 
 

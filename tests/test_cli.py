@@ -1107,10 +1107,63 @@ def contract_datasets(draw):
     return ("\n".join(lines) + draw(st.sampled_from(("", "\n", "\r")))).encode()
 
 
+# the config that the mutations below change one value of: the default
+# scenario with 20 per arm, 3 sensitivity replicates and a 7-point grid
+CONTRACT_CONFIG = (default_config_text().replace("n_per_arm = 500", "n_per_arm = 20")
+                   .replace("sensitivity_replicates = 200", "sensitivity_replicates = 3")
+                   .replace("points = 601", "points = 7"))
+CONTRACT_DATASET = "id,arm,observed_time,event\n" + "".join(
+    f"{i},{i % 2},{i + 1}.5,{int(i % 3 > 0)}\n" for i in range(8))
+# each command the mutations run, None standing for the dataset path
+CONTRACT_RUNS = {"truth": ("truth",), "simulate": ("simulate",), "estimands": ("estimands",),
+                 "sensitivity": ("estimands", "--sensitivity", "admin:2,exp:0.1"),
+                 "fit": ("fit", None)}
+# zero, the least and greatest floats, values near them, nan, inf, a negative
+# number and nothing
+CONTRACT_VALUES = ("0", "5e-324", "1e-300", "1e308", "1.7976931348623157e308", "nan", "inf",
+                   "-1", "")
+# (the text of CONTRACT_CONFIG that a mutation replaces, its replacement with
+# {} for the value, and the names an error may give for it: simulate names the
+# potential-time column that a rate puts past the largest float)
+CONFIG_MUTATIONS = (
+    ("rates = 0.1, 0.5", "rates = {}, 0.5", ("[truth.control]", "potential_time_0")),
+    ("rates = 0.1, 0.5", "rates = 0.1, {}", ("[truth.control]", "potential_time_0")),
+    ("rates = 0.05, 0.25", "rates = {}, 0.25", ("[truth.research]", "potential_time_1")),
+    ("rates = 0.05, 0.25", "rates = 0.05, {}", ("[truth.research]", "potential_time_1")),
+    ("min = 0.0", "min = {}", ("[grid]", "grid.min")),
+    ("max = 30.0", "max = {}", ("[grid]", "grid.max")),
+    ("points = 7", "points = {}", ("[grid]", "grid.points")),
+    ("kind = none", "kind = administrative\nadmin_time = {}",
+     ("[censoring]", "censoring.admin_time")),
+    ("kind = none", "kind = exponential\nrate = {}", ("[censoring]", "censoring.rate")),
+    ("landmark = 1.0", "landmark = {}", ("estimands.landmark",)),
+    ("rmst_horizon = 10.0", "rmst_horizon = {}", ("estimands.rmst_horizon",)),
+    ("ratio_time = 1.0", "ratio_time = {}", ("estimands.ratio_time",)),
+    ("sensitivity_replicates = 3", "sensitivity_replicates = {}",
+     ("estimands.sensitivity_replicates",)),
+)
+# (the command, a flag it takes and the flag's value with {} for the value)
+FLAG_MUTATIONS = tuple(
+    (run, flag, template)
+    for flag, template, runs in (
+        ("--seed", "{}", tuple(CONTRACT_RUNS)),
+        ("--landmark", "{}", ("estimands", "sensitivity")),
+        ("--rmst", "{}", ("estimands", "sensitivity")),
+        ("--sensitivity", "none,exp:{}", ("estimands",)),
+        ("--sensitivity", "admin:{}", ("estimands",)),
+        ("--cutpoints", "{}", ("fit",)),
+        ("--cutpoints", "1,{}", ("fit",)),
+        ("--covariates", "{}", ("fit",)),
+    )
+    for run in runs)
+
+
 class TestCliContract:
     """On any small dataset, each command exits 0 with finite JSON, or 1 with
     one error line: no traceback and no warning, the same bytes on a rerun and
-    on the CRLF copy of the file."""
+    on the CRLF copy of the file. So does each command with one config value
+    or flag set to an extreme or invalid value; its error names the key or
+    flag."""
 
     @staticmethod
     def outcome(argv, out):
@@ -1127,6 +1180,8 @@ class TestCliContract:
                 and error.endswith("\n"), error
             return code, error
         assert code == 0 and not error, (code, error)
+        if argv[0] not in ("fit", "estimands"):
+            return code, ""
         text = read(os.path.join(out, cli.FIT_FILE if argv[0] == "fit" else cli.ESTIMANDS_FILE))
 
         def no_constant(name):  # NaN, Infinity or -Infinity
@@ -1150,3 +1205,47 @@ class TestCliContract:
             with open(path, "wb") as fh:
                 fh.write(data.replace(b"\n", b"\r\n"))
             assert self.outcome(argv, os.path.join(tmp, "crlf")) == first
+
+    def assert_names(self, run, extra, config, names):
+        """Run the command `run` with `extra` argv and the config text
+        `config`: exit 0, or exit 1 naming one of `names`."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w") as fh:
+                fh.write(CONTRACT_DATASET)
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(config)
+            argv = [path if arg is None else arg for arg in CONTRACT_RUNS[run]]
+            code, text = self.outcome([*argv, "--config", cfg, *extra], os.path.join(tmp, "out"))
+        assert code == 0 or any(name in text for name in names), text
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(run=st.sampled_from(sorted(CONTRACT_RUNS)), mutation=st.sampled_from(CONFIG_MUTATIONS),
+           value=st.sampled_from(CONTRACT_VALUES))
+    # rate * t past the largest float in the truth engine's products
+    @example(run="truth", mutation=CONFIG_MUTATIONS[1], value="1.7976931348623157e308")
+    @example(run="estimands", mutation=CONFIG_MUTATIONS[2], value="1e308")
+    # a research hazard over a control one past the largest float
+    @example(run="truth", mutation=CONFIG_MUTATIONS[2], value="1.7976931348623157e308")
+    # censoring times past the largest float
+    @example(run="simulate", mutation=CONFIG_MUTATIONS[8], value="5e-324")
+    # a finite grid whose linspace overflows, checked by every command
+    @example(run="fit", mutation=CONFIG_MUTATIONS[5], value="1.7976931348623157e308")
+    # a ratio time where the control survival is 0
+    @example(run="estimands", mutation=CONFIG_MUTATIONS[11], value="1e308")
+    def test_mutated_config_exits_0_or_1_naming_the_key(self, run, mutation, value):
+        old, new, names = mutation
+        config = CONTRACT_CONFIG.replace(old, new.format(value), 1)
+        self.assert_names(run, (), config, names)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mutation=st.sampled_from(FLAG_MUTATIONS), value=st.sampled_from(CONTRACT_VALUES))
+    # censoring times past the largest float
+    @example(mutation=("estimands", "--sensitivity", "none,exp:{}"), value="5e-324")
+    # a seed the trial refuses, and a landmark where both survivals are 1
+    @example(mutation=("truth", "--seed", "{}"), value="-1")
+    @example(mutation=("estimands", "--landmark", "{}"), value="1e-300")
+    def test_mutated_flag_exits_0_or_1_naming_the_flag(self, mutation, value):
+        run, flag, template = mutation
+        self.assert_names(run, (flag, template.format(value)), CONTRACT_CONFIG, (flag,))

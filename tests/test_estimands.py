@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -126,6 +127,15 @@ class TestRmst:
         truth = TwoArmTruth(control=arm, research=arm)
         report = rmst(truth, "control", 10.0)
         assert report.value == pytest.approx(RMST_SINGLE_EXP_01_AT_10, abs=1e-12)
+
+    def test_rate_times_horizon_past_the_largest_float(self):
+        # the stratum whose rate * tau passes the largest float adds w / rate
+        # (1 - exp(-inf) = 1), without a warning
+        arm = MixtureArm(weights=(0.5, 0.5), rates=(0.1, 1.7976931348623157e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = rmst(TwoArmTruth(control=arm, research=arm), "control", 10.0)
+        assert report.value == pytest.approx(0.5 * RMST_SINGLE_EXP_01_AT_10, rel=1e-15)
 
     def test_mixture_closed_form_matches_quadrature(self, two_point_truth):
         for label, arm, frozen in (

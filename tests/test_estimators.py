@@ -78,9 +78,10 @@ COEFFICIENTS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-800.0, 300.0, 8
 
 
 @st.composite
-def cox_problems(draw):
+def cox_problems(draw, p=None):
     n = draw(st.integers(2, 30))
-    p = draw(st.integers(1, 3))
+    if p is None:
+        p = draw(st.integers(1, 3))
     time = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.5, 7.0]), min_size=n,
                          max_size=n))
     event = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -277,32 +278,116 @@ class TestCoxFit:
         assert report["n_events"] == 4
 
 
+# a 0/1 column with a 0 row next to a column whose x w overflows there while
+# w stays finite: (0 w) x_l = 0 but (x_l w) 0 = inf * 0 = nan, so the two
+# orders of a pair with only one 0/1 column differ
+OVERFLOW_TIME = [1.0, 2.0, 3.0, 4.0]
+OVERFLOW_EVENT = [True, True, True, True]
+OVERFLOW_X = np.array([[0.0, 2.3635], [1.0, 0.5], [0.0, 1.0], [1.0, -1.0]])
+OVERFLOW_BETAS = [np.array([0.0, 300.0]), np.array([0.1, 0.2])]
+
+
+# problems that take each way through _newton's step halving: a first full
+# step that overflows exp, a step that decreases the log likelihood, and
+# steps that do so until they reach 2^-20 (how many depends on the rounding
+# of numpy's exp kernels); a repeated column, whose information is singular;
+# and separated columns, where |beta| passes DIVERGENCE_BOUND
+HALVING_OVERFLOW = ([2.0, 2.0, 1.0, 3.0], [False, True, True, True],
+                    np.array([[300.0, 1.0], [300.0, 0.0], [1.0, 700.0], [0.0, 700.0]]))
+HALVING_DECREASE = ([4.5, 3.0, 1.0, 4.5, 7.0, 4.5, 1.0],
+                    [False, True, False, True, False, True, True],
+                    np.array([1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 3.0]))
+HALVING_TO_LIMIT = ([2.0, 7.0, 2.0], [True, True, False],
+                    np.array([[2.0, -1.0], [1.0, 0.0], [0.5, 0.5]]))
+SINGULAR = (TIME6, EVENT6, np.column_stack([X6, X6]))
+SEPARATED_COLUMNS = ([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1],
+                     np.column_stack([[3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0]]))
+NEWTON_PROBLEMS = {
+    1: [(OVERFLOW_TIME, OVERFLOW_EVENT, OVERFLOW_X[:, 1:]), HALVING_DECREASE,
+        (SEPARATED_COLUMNS[0], SEPARATED_COLUMNS[1], SEPARATED_COLUMNS[2][:, :1])],
+    2: [(OVERFLOW_TIME, OVERFLOW_EVENT, OVERFLOW_X), HALVING_OVERFLOW, HALVING_TO_LIMIT,
+        SINGULAR, SEPARATED_COLUMNS],
+    3: [(TIME6, EVENT6, np.column_stack([X6, X6, TIME6 % 4])),
+        (OVERFLOW_TIME, OVERFLOW_EVENT, np.column_stack([OVERFLOW_X, [1.0, 0.0, 2.0, 0.0]]))],
+}
+# two converging fits: arm and stratum of a 600-row trial, and a non-binary
+# second column
+STACK_DATASET = simulate(TrialConfig(
+    truth=TwoArmTruth(control=MixtureArm(weights=(0.5, 0.5), rates=(0.1, 0.5)),
+                      research=MixtureArm(weights=(0.5, 0.5), rates=(0.05, 0.25))),
+    n_per_arm=300, seed=17))
+ARM_STRATUM = (STACK_DATASET.observed_time, STACK_DATASET.event,
+               STACK_DATASET.covariate_matrix(("arm", "stratum")))
+TWO_COLUMNS = (TIME6, EVENT6, np.column_stack([X6, TIME6 % 4]))
+
+
+@st.composite
+def newton_stacks(draw):
+    """2-6 Cox problems with the same 1-3 covariates, each a small random
+    problem or one of NEWTON_PROBLEMS; a random one that _CoxData refuses
+    gives its place to one of NEWTON_PROBLEMS."""
+    p = draw(st.integers(1, 3))
+    fixed = st.sampled_from(NEWTON_PROBLEMS[p])
+    problems = []
+    for _ in range(draw(st.integers(2, 6))):
+        if draw(st.booleans()):
+            problems.append(draw(fixed))
+            continue
+        time, event, x, _ = draw(cox_problems(p=p))
+        try:
+            _CoxData(time, event, x)
+        except ValueError:  # no events, or a covariate constant among them
+            problems.append(draw(fixed))
+        else:
+            problems.append((time, event, x))
+    return problems
+
+
 class TestStackedNewton:
-    def test_rows_follow_their_own_fits(self, two_point_truth):
-        # one solve over a stack equals one cox_fit per row, bit for bit,
-        # including a singular row (a repeated column) and a separated one
-        ds = simulate(TrialConfig(truth=two_point_truth, n_per_arm=300, seed=17))
-        arm_stratum = ds.covariate_matrix(("arm", "stratum"))
-        separated = np.column_stack([[3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
-        problems = [(ds.observed_time, ds.event, arm_stratum),
-                    (TIME6, EVENT6, np.column_stack([X6, X6])),
-                    ([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], separated),
-                    (TIME6, EVENT6, np.column_stack([X6, TIME6 % 4]))]
+    @settings(max_examples=150, deadline=None)
+    @given(problems=newton_stacks())
+    @example(problems=[ARM_STRATUM, SINGULAR, SEPARATED_COLUMNS, TWO_COLUMNS])
+    def test_rows_follow_their_own_fits(self, problems):
+        # one solve over a stack equals one cox_fit per row, bit for bit;
+        # the information is the evaluation at the fit's coefficients
         data = [_CoxData(*problem) for problem in problems]
 
         def evaluate(beta):
             parts = [d.loglik_score_info(b) for d, b in zip(data, beta)]
             return tuple(np.stack(column) for column in zip(*parts))
 
-        beta, ll, score, _, iterations, converged = _newton(evaluate, len(data), 2)
-        fits = [cox_fit(*problem) for problem in problems]
-        assert [f.converged for f in fits] == [True, False, False, True]
-        assert fits[1].iterations == 1
-        for r, fit in enumerate(fits):
-            assert beta[r].tobytes() == fit.coef.tobytes()
-            assert score[r].tobytes() == fit.score_at_max.tobytes()
-            assert ll[r] == fit.loglik_at_max
+        beta, ll, score, info, iterations, converged = _newton(evaluate, len(data), data[0].p)
+        for r, (problem, d) in enumerate(zip(problems, data)):
+            fit = cox_fit(*problem)
+            assert same_bits(beta[r], fit.coef)
+            assert same_bits(ll[r], fit.loglik_at_max)
+            assert same_bits(score[r], fit.score_at_max)
+            assert same_bits(info[r], d.loglik_score_info(fit.coef)[2])
             assert (iterations[r], converged[r]) == (fit.iterations, fit.converged)
+
+    @pytest.mark.parametrize("problem, evaluations, iterations, converged", [
+        ((TIME6, EVENT6, X6), 5, 4, True),
+        (ARM_STRATUM, 5, 4, True),
+        (TWO_COLUMNS, 5, 4, True),
+        (HALVING_OVERFLOW, 7, 5, True),
+        (HALVING_DECREASE, 6, 4, True),
+        (SINGULAR, 1, 1, False),
+        (SEPARATED_COLUMNS, 16, 15, False),
+    ])
+    def test_evaluation_counts(self, monkeypatch, problem, evaluations, iterations,
+                               converged):
+        # one evaluation at 0, then one per step and one per halving
+        calls = []
+        evaluate = _CoxData.loglik_score_info
+
+        def counted(self, beta):
+            calls.append(beta)
+            return evaluate(self, beta)
+
+        monkeypatch.setattr(_CoxData, "loglik_score_info", counted)
+        fit = cox_fit(*problem)
+        assert (len(calls), fit.iterations, fit.converged) == \
+            (evaluations, iterations, converged)
 
     def test_arm_stack_matches_cox_fit(self):
         rng = np.random.default_rng(3)
@@ -341,15 +426,6 @@ class TestStackedNewton:
         time[1, 3] = bad
         with pytest.raises(ValueError, match="> 0"):
             cox_log_hr_stack(time, np.tile(EVENT6, (2, 1)), X6)
-
-
-# a 0/1 column with a 0 row next to a column whose x w overflows there while
-# w stays finite: (0 w) x_l = 0 but (x_l w) 0 = inf * 0 = nan, so the two
-# orders of a pair with only one 0/1 column differ
-OVERFLOW_TIME = [1.0, 2.0, 3.0, 4.0]
-OVERFLOW_EVENT = [True, True, True, True]
-OVERFLOW_X = np.array([[0.0, 2.3635], [1.0, 0.5], [0.0, 1.0], [1.0, -1.0]])
-OVERFLOW_BETAS = [np.array([0.0, 300.0]), np.array([0.1, 0.2])]
 
 
 class TestWorkBuffer:

@@ -345,6 +345,43 @@ class TestTruthCurves:
             with pytest.raises(ValueError, match="finite"):
                 default_grid(t_min, t_max)
 
+    def test_rates_times_past_the_largest_float(self):
+        # a stratum's rate * t past the largest float is an exact 0 term,
+        # without a warning; where every stratum's is, H is refused
+        big = 1.7976931348623157e308
+        truth = TwoArmTruth(control=MixtureArm(weights=(0.5, 0.5), rates=(0.1, big)),
+                            research=MixtureArm(weights=(0.5, 0.5), rates=(1e308, 0.25)))
+        grid = default_grid(points=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = truth_curves(truth, grid)
+            composition = survivor_composition(truth.control, grid)
+            # a research hazard at 0 over the control's past the largest float
+            steep = replace(truth, control=MixtureArm(weights=(0.5, 0.5), rates=(0.1, 0.5)),
+                            research=MixtureArm(weights=(0.5, 0.5), rates=(big, 0.25)))
+            ratio = hazard_ratio(steep, grid)
+            steep_ratio = truth_curves(steep, grid).hazard_ratio
+        assert table.survival_control[1] == pytest.approx(0.5 * math.exp(-0.3), rel=1e-15)
+        assert table.hazard_control[1] == 0.1
+        assert np.array_equal(composition[:, 1:], [[1.0] * 10, [0.0] * 10])
+        assert np.array_equal(steep_ratio, ratio) and ratio[0] == math.inf
+        alone = TwoArmTruth(control=MixtureArm(weights=(1.0,), rates=(1e308,)),
+                            research=MixtureArm(weights=(1.0,), rates=(0.05,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^cum_hazard_control"):
+                truth_curves(alone, grid)
+
+    def test_grid_ends_near_the_largest_float(self):
+        # linspace's arithmetic overflows on the way to a finite grid, or to
+        # one that check_grid refuses: neither warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = default_grid(0.0, 1.7976931348623157e308, 7)
+            assert np.isfinite(grid).all() and grid[-1] == 1.7976931348623157e308
+            with pytest.raises(ValueError, match="finite, strictly increasing"):
+                default_grid(-1e308, 1.7e308, 3)
+
     def test_curve_table_rejects_inconsistent_columns(self, two_point_truth):
         table = truth_curves(two_point_truth, default_grid(points=11))
         with pytest.raises(ValueError, match="cum_hazard"):

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from survmix import (CensoringSpec, Dataset, MixtureArm, TrialConfig, TwoArmTruth,
                      apply_censoring, kaplan_meier, marginal_density,
                      marginal_survival, simulate)
-from survmix.trial import CENSORING_KINDS, COUPLINGS
+from survmix.trial import CENSORING_KINDS, COUPLINGS, _censor
 
 # one spec of every censoring kind
 EVERY_KIND = (CensoringSpec(), CensoringSpec(admin_time=2.0),
@@ -313,6 +314,22 @@ class TestCensoring:
         assert censored.config == expected.config
         for name in vars(expected).keys() - {"config"}:
             assert np.array_equal(getattr(censored, name), getattr(expected, name))
+
+    def test_censoring_time_past_the_largest_float(self, two_point_truth):
+        # a rate of 5e-324 puts the censoring times past every event time,
+        # most of them at inf, without a warning; between the specs the
+        # caller of the censoring generator keeps its own warning state
+        base = simulate(config_for(two_point_truth, n_per_arm=50))
+        specs = [CensoringSpec(rate=5e-324), CensoringSpec()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            censored = _censor(7, base.ids, base.arm, base.potential_time_0,
+                               base.potential_time_1, specs)
+            tiny = next(censored)
+            assert np.geterr()["over"] == "warn"
+            none = next(censored)
+        assert tiny[1].all()
+        assert np.array_equal(tiny[0], none[0]) and np.array_equal(tiny[1], none[1])
 
     def test_censoring_deterministic_per_seed(self, two_point_truth):
         base = simulate(config_for(two_point_truth))
