@@ -384,6 +384,9 @@ def cmd_fit(args):
     else:
         cutpoints = cfg.cutpoints
     columns = read_dataset_csv(args.dataset)
+    # the id and the potential times go before the covariate matrix is built
+    columns = {name: columns[name] for name in ("observed_time", "event", *covariates)
+               if name in columns}
     try:
         x = covariate_matrix(columns, covariates)
     except KeyError as err:

@@ -297,22 +297,35 @@ def _is_binary(column):
     return bool(np.all((column == 1.0) | ((column == 0.0) & ~np.signbit(column))))
 
 
+# Distinct event times that _CoxData takes at a time in its (G, p) and
+# (G, p, p) sums, so that their scratch does not grow with G: 4096 x (1 + p +
+# p^2) floats are 229 KB at p = 2
+_EVENT_BLOCK = 4096
+
+
 class _CoxData:
     """A sample's risk sets and sorted covariates, as the Cox computations
     read them.
 
-    loglik_score_info works in one (q, n) buffer allocated here, column-major:
-    each of its q columns is one contiguous row work[c] over the n sorted
-    rows. Column 0 holds w = exp(x beta), columns 1..p hold x_k w, and the
-    rest hold the products x_k x_l w that `_pair_column` does not map onto
-    another column.
+    loglik_score_info works in one (q, n) buffer, allocated at the first
+    evaluation (by then cox_fit has dropped the caller's unsorted arrays),
+    column-major: each of its q columns is one contiguous row work[c] over
+    the n sorted rows. Column 0 holds w = exp(x beta), columns 1..p hold
+    x_k w, and the rest hold the products x_k x_l w that `_pair_column` does
+    not map onto another column. The per-event-time sums of the covariates
+    over the events are built _EVENT_BLOCK event times at a time, each block
+    from its own rows.
     """
 
     def __init__(self, time, event, x, names=None):
-        order, event, self.start, self.d = _sort_and_group(time, event)
+        order, event, self.start, d = _sort_and_group(time, event)
         # np.take copies each row as one chunk: several times faster than x[order]
-        self.x = np.take(_covariate_columns(x, order.size), order, axis=0)
-        self.p = self.x.shape[1]
+        self.x = x = np.take(_covariate_columns(x, order.size), order, axis=0)
+        del order
+        self.n_events = int(d.sum())
+        # the deaths as floats, once: the evaluation's sums weight by them
+        self.d = d = d.astype(float)
+        n, self.p = x.shape
         self.names = tuple(names) if names is not None else tuple(
             f"x{j}" for j in range(self.p))
         if len(self.names) != self.p:
@@ -320,23 +333,32 @@ class _CoxData:
         # constant among the events: every event row equals the first one
         first = np.argmax(event)
         for j, name in enumerate(self.names):
-            if not np.any((self.x[:, j] != self.x[first, j]) & event):
+            if not np.any((x[:, j] != x[first, j]) & event):
                 raise _ConstantCovariate(
                     f"covariate {name} is constant among events; "
                     "the partial likelihood has no maximum"
                 )
-        # per-event-time sum of covariates over the events; the censored rows
-        # up to the next event time add exact zeros
-        self.event_x_sum = np.add.reduceat(np.where(event[:, None], self.x, 0.0),
-                                           self.start, axis=0)
-        self.n_events = int(self.d.sum())
+        # per-event-time sum of covariates over the events, a column of a
+        # block of event times at a time; the censored rows up to the next
+        # event time add exact zeros, so that a censored row makes the sum of
+        # an all -0.0 group +0.0. A block's last group ends where the next
+        # block's first begins
+        start, G = self.start, self.start.size
+        self.event_x_sum = np.empty((G, self.p))
+        for first in range(0, G, _EVENT_BLOCK):
+            stop = min(first + _EVENT_BLOCK, G)
+            rows = slice(start[first], start[stop] if stop < G else n)
+            for k in range(self.p):
+                np.add.reduceat(np.where(event[rows], x[rows, k], 0.0),
+                                start[first:stop] - rows.start,
+                                out=self.event_x_sum[first:stop, k])
         # buffer column of each x_k x_l w, computed as (x_k w) x_l. Where x_k
         # is 0/1 that is x_k w itself, and where x_k and x_l are both 0/1 the
         # products (x_k w) x_l and (x_l w) x_k are bitwise equal, so one
         # column serves both. With only one of them 0/1 the orders can differ:
         # x_k = 0 and x_l w overflowing give 0 one way and inf * 0 = nan the
         # other
-        binary = [_is_binary(self.x[:, j]) for j in range(self.p)]
+        binary = [_is_binary(x[:, j]) for j in range(self.p)]
         self._pair_column = np.empty((self.p, self.p), dtype=np.intp)
         self._products = []
         for k in range(self.p):
@@ -348,16 +370,29 @@ class _CoxData:
                 else:
                     self._pair_column[k, l] = 1 + self.p + len(self._products)
                     self._products.append((k, l))
-        self._work = np.empty((1 + self.p + len(self._products), order.size))
+        self._work = None
 
     def loglik_score_info(self, beta):
         """Breslow partial log likelihood and its first two derivatives.
 
         A Newton step far out can overflow exp(x beta): the result is then
         not finite, and _newton halves the step, so numpy need not warn.
+
+        For p >= 2, xbar and the centred array are built _EVENT_BLOCK event
+        times at a time, in scratch allocated once per evaluation, so no
+        (G, p) or (G, p, p) array is held. Row 0 of the scratch carries the
+        information and score of the blocks before, with weight 1: numpy adds
+        the event times of these sums one after another, so each block's sum
+        continues from the carry in the order of one sum over every event
+        time, with the same bits as the whole arrays. At p = 1 numpy sums
+        the contiguous G-vectors pairwise, where a carry row would move the
+        bits, so the loop runs as one block with no carry row. The 1-d sums
+        of ll are taken whole.
         """
+        if self._work is None:
+            self._work = np.empty((1 + self.p + len(self._products), self.x.shape[0]))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            work, x, p, start = self._work, self.x, self.p, self.start
+            work, x, p, start, d = self._work, self.x, self.p, self.start, self.d
             # exp and log go through contiguous arrays: numpy's vector and
             # strided loops may round them differently
             np.exp(_matvec(x, beta, work[0]), out=work[0])
@@ -367,39 +402,66 @@ class _CoxData:
             # suffix sums give risk-set aggregates at the head row of each group
             _suffix_sum(work)
             w_risk = work[0].take(start)
-            # xbar (G, p) and the centred (G, p, p) array are C-contiguous, as
-            # einsum's and the score's summation orders need; each is filled a
-            # buffer column at a time. Column 0 is read by now, and columns
-            # 1..p once xbar is: their heads hold the gathers and products
-            # below (take's 'clip' mode writes straight into them)
+            # column 0 is read by now: its head holds the terms of ll, then
+            # each block's gathers (take's 'clip' mode writes straight into
+            # it) and running sums
             G = start.size
-            gathered, product = work[0, :G], work[1, :G]
-            ll = float(np.sum(_matvec(self.event_x_sum, beta, gathered))
-                       - np.sum(self.d * np.log(w_risk)))
-            xbar = np.empty((G, p))
-            for k in range(p):
-                np.take(work[1 + k], start, out=gathered, mode="clip")
-                np.divide(gathered, w_risk, out=xbar[:, k])
-            centred = np.empty((G, p, p))
-            for k in range(p):
-                for l in range(p):
-                    # a product column that _pair_column maps onto x_k w gives
-                    # xbar_k, and a pair sharing its mirror's column gets its bits
-                    c = self._pair_column[k, l]
-                    if l < k and c == self._pair_column[l, k]:
-                        centred[:, k, l] = centred[:, l, k]
-                        continue
-                    if c <= p:
-                        ratio = xbar[:, c - 1]
-                    else:
-                        ratio = np.take(work[c], start, out=gathered, mode="clip")
-                        ratio /= w_risk
-                    np.multiply(xbar[:, k], xbar[:, l], out=product)
-                    np.subtract(ratio, product, out=centred[:, k, l])
-            info = np.einsum("j,jkl->kl", self.d.astype(float), centred)
-            # the score from d_j xbar_j, scaled in place now that info is done
-            xbar *= self.d[:, None]
-            score = np.sum(np.subtract(self.event_x_sum, xbar, out=xbar), axis=0)
+            head = work[0, :G]
+            ll = np.sum(_matvec(self.event_x_sum, beta, head))
+            ll = float(ll - np.sum(np.multiply(d, np.log(w_risk, out=head), out=head)))
+            block = _EVENT_BLOCK if p > 1 else G
+            # xbar, then the score's terms, and the centred array are
+            # C-contiguous, as einsum's and the score's summation orders need;
+            # each is filled a column at a time
+            weights = np.empty(min(block, G) + 1)
+            xbar = np.empty((weights.size, p))
+            centred = np.empty((weights.size, p, p))
+            weights[0] = 1.0
+            for first in range(0, G, block):
+                stop = min(first + block, G)
+                heads, w_block, d_block = start[first:stop], w_risk[first:stop], d[first:stop]
+                rows = slice(1, 1 + stop - first)
+                gathered = work[0, :stop - first]
+                for k in range(p):
+                    np.take(work[1 + k], heads, out=gathered, mode="clip")
+                    np.divide(gathered, w_block, out=xbar[rows, k])
+                for k in range(p):
+                    for l in range(p):
+                        # a product column that _pair_column maps onto x_k w
+                        # gives xbar_k, and a pair sharing its mirror's column
+                        # gets its bits
+                        c = self._pair_column[k, l]
+                        if l < k and c == self._pair_column[l, k]:
+                            centred[rows, k, l] = centred[rows, l, k]
+                            continue
+                        if c <= p:
+                            ratio = xbar[rows, c - 1]
+                        else:
+                            ratio = np.take(work[c], heads, out=gathered, mode="clip")
+                            ratio /= w_block
+                        product = np.multiply(xbar[rows, k], xbar[rows, l],
+                                              out=centred[rows, k, l])
+                        np.subtract(ratio, product, out=product)
+                # the first block has no sums before it to carry
+                summed = slice(0 if first else 1, rows.stop)
+                weights[rows] = d_block
+                info = np.einsum("j,jkl->kl", weights[summed], centred[summed])
+                centred[0] = info
+                # the score from d_j xbar_j, scaled in place now that info is done
+                terms = xbar[rows]
+                terms *= d_block[:, None]
+                np.subtract(self.event_x_sum[first:stop], terms, out=terms)
+                # numpy's axis-0 sum adds the columns of a (G, p >= 2) array
+                # row by row from +0.0: each column's running sum gets its
+                # bits faster, and + 0.0 turns the -0.0 of an all -0.0 column
+                # into the sum's +0.0. At p = 1 the sum is pairwise
+                if p == 1:
+                    score = np.sum(xbar[summed], axis=0)
+                else:
+                    running = work[0, :summed.stop - summed.start]
+                    score = np.array([np.add.accumulate(xbar[summed, k], out=running)[-1]
+                                      for k in range(p)]) + 0.0
+                xbar[0] = score
             return ll, score, info
 
 
@@ -537,10 +599,17 @@ def cox_fit(time, event, x, names=None):
     partial likelihood. Convergence means max|score| < SCORE_TOL. A
     trajectory escaping |beta| > DIVERGENCE_BOUND is flagged converged=False
     (monotone likelihood / separation), never raised.
+
+    The coefficients of a fit that does not converge can differ between
+    numpy's AVX-512 and AVX2 kernels: on a ridge where the information is
+    nearly singular, their exp rounding can send the steps apart, as on
+    time (2, 7, 2), events (1, 1, 0) and x ((2, -1), (1, 0), (0.5, 0.5)),
+    where the one reaches (514.8, 496.9) and the other (-115.1, -121.1).
     """
     data = _CoxData(time, event, x, names)
     # the fit reads only the sorted copies; where the caller holds no other
-    # reference the unsorted arrays are freed before the Newton iterations
+    # reference the unsorted arrays are freed before the first evaluation
+    # allocates the work buffer
     del time, event, x
 
     def evaluate(beta):

@@ -218,11 +218,16 @@ def survivor_composition(arm, t):
 
     At t=0 this is the prior weights; as t grows it concentrates on the
     minimum-rate stratum. Entries sum to 1 at any t.
+
+    The terms are taken relative to the minimum-rate stratum's,
+    -(rate_k - min rate) t, whose shift cancels in the normalisation: that
+    stratum's term stays finite even where every rate_k t passes the largest
+    float, so the composition is defined at every finite t.
     """
     t = _as_times(t)[0]
     negated, _, _, log_weights = _columns(arm)
     with np.errstate(over="ignore"):
-        comp = negated * t.ravel()
+        comp = (negated - negated.max()) * t.ravel()
     _composition(log_weights, t.ravel(), comp)
     return comp.reshape((arm.n_strata,) + t.shape)
 

@@ -17,6 +17,8 @@ from survmix import _csvtext, cli
 from survmix.cli import (InputError, _atomic_file, main, parse_censoring_list,
                          read_dataset_csv, write_curve_tables, write_dataset)
 from survmix.config import default_config, default_config_text
+from survmix.estimators import SCORE_TOL, _CoxData
+from survmix.trial import covariate_matrix
 
 from check_number_format import problems as number_format_problems, wide_config_text
 
@@ -101,6 +103,19 @@ class TestTruthCommand:
         assert run("truth", "--config", str(cfg), "--out", str(out)) == 0
         rows = (out / "curves.csv").read_text().splitlines()
         assert rows[-2] == "8000,control,0,0.1,800.693147"
+
+    def test_every_control_rate_times_t_past_the_largest_float(self, tmp_path, capsys):
+        # H has no finite value there: one error line, no warning, no table
+        cfg = tmp_path / "over.cfg"
+        cfg.write_text(default_config_text().replace(
+            "rates = 0.1, 0.5", "rates = 1e308, 1.7976931348623157e308", 1))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("truth", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cum_hazard_control" in err
+        assert not (out / "curves.csv").exists() and not (out / "hr.csv").exists()
 
 
 class TestSimulateCommand:
@@ -1190,6 +1205,20 @@ class TestCliContract:
         json.loads(text, parse_constant=no_constant)
         return code, text
 
+    @staticmethod
+    def assert_converged_score(path, text):
+        """A fit.json written converged re-evaluates, at its written
+        coefficients, to a score below SCORE_TOL on the dataset at `path`."""
+        report = json.loads(text)
+        if not report["converged"]:
+            return
+        covariates = report.get("covariates", {"arm": report})
+        columns = read_dataset_csv(path)
+        data = _CoxData(columns["observed_time"], columns["event"],
+                        covariate_matrix(columns, tuple(covariates)))
+        score = data.loglik_score_info(np.array([c["beta"] for c in covariates.values()]))[1]
+        assert np.max(np.abs(score)) < SCORE_TOL, (report, score)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=contract_datasets(), command=st.sampled_from(CONTRACT_COMMANDS))
     # the two middle times sum past the largest float: np.median overflowed
@@ -1201,6 +1230,8 @@ class TestCliContract:
             with open(path, "wb") as fh:
                 fh.write(data)
             first = self.outcome(argv, os.path.join(tmp, "lf"))
+            if command[0] == "fit" and "--cutpoints" not in command and first[0] == 0:
+                self.assert_converged_score(path, first[1])
             assert self.outcome(argv, os.path.join(tmp, "rerun")) == first
             with open(path, "wb") as fh:
                 fh.write(data.replace(b"\n", b"\r\n"))

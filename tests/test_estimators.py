@@ -5,6 +5,7 @@ import re
 import threading
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from survmix import (CoxFit, EstimatedCurves, MixtureArm, TrialConfig, TwoArmTru
                      breslow_baseline, cox_fit, cox_fit_dataset, fit_report,
                      kaplan_meier, marginal_density, marginal_survival,
                      nelson_aalen, period_specific_cox, simulate)
-from survmix import _pool
+from survmix import _pool, estimators
 from survmix.estimators import (_MATVEC_ROWS, _POOL_ROWS, _CoxData, _matvec, _newton,
                                 _sort_and_group, check_cutpoints, cox_log_hr_stack)
 
@@ -449,6 +450,111 @@ class TestWorkBuffer:
                     assert same_bits(a, b)
         # the second call reuses the buffer; the first results stay put
         assert all(same_bits(a, b) for a, b in zip(first, kept))
+
+
+# the kinds of covariate column a blocked evaluation meets, drawn by numpy:
+# 0/1, small integers, signed zeros, continuous, and a 0/1 column times log t
+BLOCK_COLUMNS = {
+    "binary": lambda rng, time: rng.integers(0, 2, time.size).astype(float),
+    "small_integer": lambda rng, time: rng.integers(0, 4, time.size).astype(float),
+    "negative_zero": lambda rng, time: rng.choice([-0.0, 0.0, 1.0], time.size),
+    "continuous": lambda rng, time: rng.normal(0.0, 1.0, time.size),
+    "product": lambda rng, time: rng.integers(0, 2, time.size) * np.log(time),
+}
+# an event time whose events all have x = -0.0, and a censored row before the
+# next event time: its sum is +0.0; the next event time's one event is -0.0
+SIGNED_ZERO_GROUPS = ([1.0, 1.0, 1.5, 2.0, 3.0, 4.0], [1, 1, 0, 1, 1, 1],
+                      np.column_stack([[-0.0, -0.0, 2.0, -0.0, 0.5, 3.0],
+                                       [1.0, 0.0, 1.0, 0.0, 1.0, 1.0]]),
+                      [np.array([0.3, -0.2]), np.array([300.0, 1.0])])
+
+
+@st.composite
+def blocked_problems(draw):
+    """A censored sample of 2-800 rows with many or few tied event times and
+    1-3 covariates of the BLOCK_COLUMNS kinds, and coefficients, some of
+    which overflow exp(x beta)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 800))
+    distinct = draw(st.sampled_from([3, 50, 10**9]))
+    time = rng.integers(1, distinct + 1, n) * 0.125
+    event = rng.random(n) < draw(st.sampled_from([0.3, 0.8, 1.0]))
+    event[rng.integers(n)] = True
+    kinds = draw(st.lists(st.sampled_from(sorted(BLOCK_COLUMNS)), min_size=1, max_size=3))
+    x = np.column_stack([BLOCK_COLUMNS[kind](rng, time) for kind in kinds])
+    betas = [np.array(draw(st.lists(COEFFICIENTS, min_size=x.shape[1],
+                                    max_size=x.shape[1]))) for _ in range(2)]
+    return time, event, x, betas
+
+
+class TestEventBlocks:
+    """_CoxData sums over the event times _EVENT_BLOCK at a time, carrying
+    the sums of the blocks before as a first row: every block size gives the
+    bits of the whole arrays, those of reference_loglik_score_info. At p = 1
+    the evaluation is one block whatever _EVENT_BLOCK is."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(problem=blocked_problems())
+    @example(problem=SIGNED_ZERO_GROUPS)
+    @example(problem=(OVERFLOW_TIME, OVERFLOW_EVENT, OVERFLOW_X, OVERFLOW_BETAS))
+    def test_every_block_size_keeps_the_bits_of_one_block(self, problem):
+        time, event, x, betas = problem
+        sorted_event, start = _sort_and_group(time, event)[1:3]
+        for block in (1, 7, 2**16):
+            with mock.patch.object(estimators, "_EVENT_BLOCK", block):
+                try:
+                    data = _CoxData(time, event, x)
+                except ValueError:
+                    assume(False)  # a covariate constant among the events
+                # the whole-array sums, as one np.where over every row
+                assert same_bits(data.event_x_sum, np.add.reduceat(
+                    np.where(sorted_event[:, None], data.x, 0.0), start, axis=0))
+                with np.errstate(all="ignore"):
+                    for beta in betas:
+                        got = data.loglik_score_info(beta)
+                        want = reference_loglik_score_info(data, beta)
+                        assert all(same_bits(a, b) for a, b in zip(got, want)), block
+
+    def test_a_censored_row_makes_an_all_negative_zero_group_positive(self):
+        time, event, x, _ = SIGNED_ZERO_GROUPS
+        for block in (1, 7):
+            with mock.patch.object(estimators, "_EVENT_BLOCK", block):
+                column = _CoxData(time, event, x).event_x_sum[:, 0]
+            assert column.tolist() == [0.0, 0.0, 0.5, 3.0]
+            assert np.signbit(column).tolist() == [False, True, False, False]
+
+    def test_one_column_is_summed_whole(self):
+        # a p = 1 evaluation keeps numpy's pairwise sums of whole G-vectors,
+        # which a carried row would change at a G past 1000
+        time, event, x = random_problem(6000, 1, seed=29)
+        data = _CoxData(time, event, x)
+        assert data.start.size > 1000
+        beta = np.array([0.4])
+        want = reference_loglik_score_info(data, beta)
+        for block in (1, 7, 1000):
+            with mock.patch.object(estimators, "_EVENT_BLOCK", block):
+                got = data.loglik_score_info(beta)
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("problem", [(TIME6, EVENT6, X6), ARM_STRATUM, TWO_COLUMNS,
+                                         HALVING_OVERFLOW, HALVING_DECREASE, SINGULAR,
+                                         SEPARATED_COLUMNS])
+    def test_fits_and_evaluation_counts_do_not_move(self, monkeypatch, problem):
+        # test_evaluation_counts' problems, in blocks of one event time
+        calls = []
+        evaluate = _CoxData.loglik_score_info
+
+        def counted(self, beta):
+            calls.append(beta)
+            return evaluate(self, beta)
+
+        monkeypatch.setattr(_CoxData, "loglik_score_info", counted)
+        whole = cox_fit(*problem)
+        whole_calls = len(calls)
+        monkeypatch.setattr(estimators, "_EVENT_BLOCK", 1)
+        blocked = cox_fit(*problem)
+        assert fit_bytes(blocked) == fit_bytes(whole)
+        assert len(calls) == 2 * whole_calls
 
 
 def reference_sort_and_group(time, event):

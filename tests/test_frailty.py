@@ -206,6 +206,17 @@ class TestSurvivorComposition:
         comp = survivor_composition(two_point_truth.control, 1e5)
         assert np.isfinite(comp).all() and comp.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_every_rate_times_t_past_the_largest_float(self):
+        # the minimum-rate stratum's term stays finite: the composition is
+        # exact there, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = survivor_composition(MixtureArm(weights=(1.0,), rates=(1e308,)), [0.0, 3.0])
+            both = survivor_composition(MixtureArm(weights=(0.5, 0.5), rates=(1e308, 1.5e308)),
+                                        [0.0, 3.0])
+        assert np.array_equal(alone, [[1.0, 1.0]])
+        assert np.array_equal(both, [[0.5, 1.0], [0.5, 0.0]])
+
     @given(arm=mixture_arms(), t=st.floats(0.0, 1e4))
     @settings(max_examples=60, deadline=None)
     def test_sums_to_one(self, arm, t):
