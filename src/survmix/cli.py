@@ -37,8 +37,8 @@ SENSITIVITY_FILE = "sensitivity.csv"
 
 _BLOCK_ROWS = 1 << 14  # rows _write_columns formats at a time, to within 1.5x
 _CHUNK_BYTES = 1 << 18  # bytes of a dataset file parsed at a time by read_dataset_csv
-# the bytes after the header of a dataset file that read_dataset_csv hands to
-# numpy, which reads \r\n as a line end and, as the per-row parser does, rejects any other \r
+# the bytes of a chunk of dataset lines that _parse_plain hands to numpy,
+# which reads \r\n as a line end and, as the per-row parser does, rejects any other \r
 _PLAIN_BODY = b"0123456789.eE+-,\r\n"
 # the dataset grammar of a field: ASCII digits with an optional sign, and for
 # floats a point, an exponent, inf or nan. Python's int and float take more:
@@ -55,11 +55,13 @@ class InputError(ValueError):
 @contextlib.contextmanager
 def _atomic_file(path):
     """A binary file that replaces `path` when the with block ends, or is
-    removed, leaving `path` untouched, when the block raises.
+    removed, leaving `path` untouched, when the block raises. The block
+    starts by making the directory of `path`, if it is missing.
 
     The data reach the disk (fsync) before the rename makes them visible, so a
     crash leaves the old file or the complete new one.
     """
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
@@ -149,11 +151,11 @@ def read_dataset_csv(path):
     A line ends at a newline byte or at the end of the file, and one
     carriage return at its end is dropped; each line is decoded as UTF-8 on
     its own. Both passes read the file a chunk at a time, so no more than a
-    chunk of it is held at once. The first counts the rows and checks
-    whether every byte after the header is one that numpy's C parser and the
-    per-row parser read alike; the second reads the lines into the columns.
-    numpy parses each chunk of such a plain file; the per-row parser, whose
-    errors name the bad row, parses every other chunk.
+    chunk of it is held at once. The first counts the rows; the second reads
+    the lines into the columns. numpy parses each chunk whose bytes are all
+    plain, ones that numpy's C parser and the per-row parser read alike; the
+    per-row parser, whose errors name the bad row, parses a chunk that holds
+    any other byte or that numpy rejects.
     """
     try:
         with open(path, "rb") as fh:
@@ -161,11 +163,10 @@ def read_dataset_csv(path):
             if not first:
                 raise InputError(f"{path}: empty file")
             header = _check_header(path, _line_text(path, 1, first).split(","))
-            rows, plain, last = 0, True, b"\n"
+            rows, last = 0, b"\n"
             while block := fh.read(_CHUNK_BYTES):
                 rows += block.count(b"\n")
                 last = block[-1:]
-                plain = plain and not block.translate(None, _PLAIN_BODY)
             rows += last != b"\n"  # a last row with no newline
             if not rows:
                 raise InputError(f"{path}: no data rows")
@@ -177,7 +178,7 @@ def read_dataset_csv(path):
                 start, stop = stop, stop + len(lines)
                 if stop > rows:  # more rows than the first pass counted
                     break
-                records = _parse_plain(lines, dtype) if plain else None
+                records = _parse_plain(lines, dtype)
                 if records is None:
                     records = _parse_rows(path, header, lines, start + 2)
                 for name in header:
@@ -214,12 +215,15 @@ def _line_text(path, row, line):
 
 
 def _parse_plain(lines, dtype):
-    """The records of a chunk of lines of plain bytes, through np.loadtxt, or
-    None when numpy rejects the chunk or skips a blank line in it.
+    """The records of a chunk of lines, through np.loadtxt, or None when a
+    line holds a byte outside _PLAIN_BODY, numpy rejects the chunk or numpy
+    skips a blank line in it.
 
-    On such bytes numpy and the per-row parser agree, save that numpy skips
+    On plain bytes numpy and the per-row parser agree, save that numpy skips
     blank lines, which the per-row parser rejects.
     """
+    if b"".join(lines).translate(None, _PLAIN_BODY):
+        return None
     try:
         with warnings.catch_warnings():
             # older numpy reads "1.5" in an int column as 1, with this warning
@@ -343,46 +347,39 @@ def _load_run_config(args):
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         cfg = replace(cfg, trial=_checked("--seed:", replace, cfg.trial, seed=args.seed))
-    return cfg
-
-
-def _ensure_out_dir(args, cfg):
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+    return replace(cfg, out_dir=args.out or cfg.out_dir)
 
 
 def cmd_truth(args):
     cfg = _load_run_config(args)
-    out_dir = _ensure_out_dir(args, cfg)
     grid = default_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points)
-    table = truth_curves(cfg.truth, grid)
-    curves_path, hr_path = write_curve_tables(table, out_dir)
-    print(f"wrote {curves_path} and {hr_path}")
+    # where every stratum's rate * t passes the largest float, H has no finite
+    # value: the error names the rates, not CurveTable's check of H
+    for label in ("control", "research"):
+        with np.errstate(over="ignore"):
+            past = grid[min(getattr(cfg.truth, label).rates) * grid == np.inf]
+        if past.size:
+            raise InputError(f"[truth.{label}] rates: every stratum's rate * t passes "
+                             f"the largest float at t={past[0]:.9g}")
+    paths = write_curve_tables(truth_curves(cfg.truth, grid), cfg.out_dir)
+    print("wrote " + " and ".join(paths))
     return 0
 
 
 def cmd_simulate(args):
     cfg = _load_run_config(args)
-    out_dir = _ensure_out_dir(args, cfg)
     dataset = simulate(cfg.trial)
-    path = write_dataset(dataset, out_dir, reveal_latent=args.reveal_latent)
+    path = write_dataset(dataset, cfg.out_dir, reveal_latent=args.reveal_latent)
     print(f"wrote {path} ({len(dataset)} rows)")
     return 0
 
 
 def cmd_fit(args):
     cfg = _load_run_config(args)
-    if args.covariates is not None:
-        covariates = _checked("--covariates:", check_covariates,
-                              args.covariates.replace(",", " ").split())
-    else:
-        covariates = cfg.covariates
-    if args.cutpoints is not None:
-        cutpoints = _checked("--cutpoints:", check_cutpoints,
-                             _parse_floats(args.cutpoints, "--cutpoints"))
-    else:
-        cutpoints = cfg.cutpoints
+    covariates = cfg.covariates if args.covariates is None else _checked(
+        "--covariates:", check_covariates, args.covariates.replace(",", " ").split())
+    cutpoints = cfg.cutpoints if args.cutpoints is None else _checked(
+        "--cutpoints:", check_cutpoints, _parse_floats(args.cutpoints, "--cutpoints"))
     columns = read_dataset_csv(args.dataset)
     # the id and the potential times go before the covariate matrix is built
     columns = {name: columns[name] for name in ("observed_time", "event", *covariates)
@@ -423,7 +420,7 @@ def cmd_fit(args):
                       fit_columns.pop("x"), names=covariates)
         payload = fit_report(fit)
 
-    path = _write_json(os.path.join(_ensure_out_dir(args, cfg), FIT_FILE), payload)
+    path = _write_json(os.path.join(cfg.out_dir, FIT_FILE), payload)
     print(f"wrote {path}")
     return 0
 
@@ -482,18 +479,17 @@ def cmd_estimands(args):
         _checked(named("--landmark", "estimands.ratio_time"), log_survival_ratio, source,
                  ratio_t),
     ]
-    out_dir = _ensure_out_dir(args, cfg)
-    path = _write_json(os.path.join(out_dir, ESTIMANDS_FILE),
-                       [asdict(r) for r in reports])
-    written = [path]
-
     if args.sensitivity is not None:
-        rows = censoring_sensitivity(cfg.trial, specs, cfg.sensitivity_replicates)
-        sens_path = os.path.join(out_dir, SENSITIVITY_FILE)
+        rows = _checked("--sensitivity:", censoring_sensitivity, cfg.trial, specs,
+                        cfg.sensitivity_replicates)
+
+    written = [_write_json(os.path.join(cfg.out_dir, ESTIMANDS_FILE),
+                           [asdict(r) for r in reports])]
+    if args.sensitivity is not None:
+        written.append(os.path.join(cfg.out_dir, SENSITIVITY_FILE))
         header = ("spec_label", "mean_beta", "mc_se", "n_ok", "n_failed")
-        _write_columns([(sens_path, header, "%s,%.9g,%.9g,%d,%d\n", header)],
+        _write_columns([(written[-1], header, "%s,%.9g,%.9g,%d,%d\n", header)],
                        {name: [getattr(row, name) for row in rows] for name in header})
-        written.append(sens_path)
     print("wrote " + " and ".join(written))
     return 0
 

@@ -34,6 +34,11 @@ def _fmt(x):
 OVERFLOW_MEDIAN_CSV = ("id,arm,observed_time,event\n0,0,1e308,1\n1,0,1.5e308,0\n"
                        "2,0,1.7e308,1\n3,1,1e308,0\n4,1,1.4e308,1\n5,1,1.7e308,1\n")
 
+# control rates whose every stratum's rate * t passes the largest float on
+# the default grid, and control rates that put a potential time past it
+OVERFLOW_RATES = "rates = 1e308, 1.7976931348623157e308"
+TINY_RATES = "rates = 0.1, 1e-320"
+
 IDENTICAL_ARMS = """
 [truth.control]
 weights = 0.5, 0.5
@@ -105,17 +110,19 @@ class TestTruthCommand:
         assert rows[-2] == "8000,control,0,0.1,800.693147"
 
     def test_every_control_rate_times_t_past_the_largest_float(self, tmp_path, capsys):
-        # H has no finite value there: one error line, no warning, no table
+        # H has no finite value from t = 1.8 on (1e308 * 1.8 is inf): one error
+        # line naming the rates and that time, no warning, no directory
         cfg = tmp_path / "over.cfg"
         cfg.write_text(default_config_text().replace(
-            "rates = 0.1, 0.5", "rates = 1e308, 1.7976931348623157e308", 1))
+            "rates = 0.1, 0.5", OVERFLOW_RATES, 1))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("truth", "--config", str(cfg), "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "cum_hazard_control" in err
-        assert not (out / "curves.csv").exists() and not (out / "hr.csv").exists()
+        assert capsys.readouterr().err == (
+            "survmix: error: [truth.control] rates: every stratum's rate * t passes "
+            "the largest float at t=1.8\n")
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -572,6 +579,14 @@ class TestRejectedFlagsAndKeys:
         err = self.rejected(tmp_path, capsys, "estimands", flag, "inf")
         assert f"{named} must be finite and > 0, got inf" in err
 
+    def test_sensitivity_replicate_the_trial_refuses(self, tmp_path, capsys):
+        # a potential time past the largest float in a replicate
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(default_config_text().replace("rates = 0.1, 0.5", TINY_RATES, 1))
+        err = self.rejected(tmp_path, capsys, "estimands", "--config", str(cfg),
+                            "--sensitivity", "none")
+        assert err.count("\n") == 1 and err.startswith("survmix: error: --sensitivity: ")
+
     def test_non_finite_rmst_horizon_key(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
         cfg.write_text(default_config_text().replace("rmst_horizon = 10.0",
@@ -626,6 +641,28 @@ class TestCliPlumbing:
                                               "admin@2+exp@0.1"]
         with pytest.raises(ValueError):
             parse_censoring_list("uniform:3")
+
+    def test_failed_runs_leave_existing_outputs_untouched(self, tmp_path, capsys):
+        # every output file of a successful run, then three runs into the same
+        # directory that fail in their computation, after every flag and key
+        # has passed its checks
+        small = tmp_path / "small.cfg"
+        small.write_text(default_config_text().replace("n_per_arm = 500", "n_per_arm = 20")
+                         .replace("sensitivity_replicates = 200", "sensitivity_replicates = 3"))
+        out = tmp_path / "out"
+        for argv in (("truth",), ("simulate",), ("estimands", "--sensitivity", "none")):
+            assert run(*argv, "--config", str(small), "--out", str(out)) == 0
+        before = {name: read(out / name) for name in os.listdir(out)}
+        assert sorted(before) == sorted([cli.CURVES_FILE, cli.HR_FILE, cli.DATASET_FILE,
+                                         cli.ESTIMANDS_FILE, cli.SENSITIVITY_FILE])
+        over, tiny = tmp_path / "over.cfg", tmp_path / "tiny.cfg"
+        over.write_text(default_config_text().replace("rates = 0.1, 0.5", OVERFLOW_RATES, 1))
+        tiny.write_text(default_config_text().replace("rates = 0.1, 0.5", TINY_RATES, 1))
+        for argv, cfg in ((("truth",), over), (("simulate",), tiny),
+                          (("estimands", "--sensitivity", "none"), tiny)):
+            assert run(*argv, "--config", str(cfg), "--out", str(out)) == 1
+            assert {name: read(out / name) for name in os.listdir(out)} == before, argv
+        assert capsys.readouterr().err.count("\n") == 3
 
     def test_failed_atomic_write_leaves_no_temporary_file(self, tmp_path):
         target = tmp_path / "x.txt"
@@ -844,6 +881,24 @@ class TestCsvLayer:
             path.write_text("id,arm,observed_time,event\n" + "\n".join(lines) + "\n")
             assert run("fit", str(path), "--out", str(tmp_path / "out")) == 1
             assert capsys.readouterr().err.endswith(f"{path} row {row}: {message}\n")
+
+    def test_only_the_chunk_with_a_non_plain_byte_is_parsed_by_row(
+            self, tmp_path, capsys, monkeypatch, parsed_by):
+        # one inf in the last row: every earlier chunk still goes to numpy
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 64)
+        path = tmp_path / "late_inf.csv"
+        path.write_text("id,arm,observed_time,event\n"
+                        + "".join(f"{i},{i % 2},{i + 1}.5,1\n" for i in range(39))
+                        + "39,1,inf,1\n")
+        with open(path, "rb") as fh:
+            fh.readline()
+            chunks = len(list(iter(lambda: fh.readlines(64), [])))
+        assert chunks > 2
+        assert run("fit", str(path), "--out", str(tmp_path / "out")) == 1
+        assert parsed_by == ["numpy"] * (chunks - 1) + ["rows"]
+        assert capsys.readouterr().err == (
+            f"survmix: error: {path} row 41: observed_time must be finite and > 0, "
+            "got inf\n")
 
     def test_crlf_file_fits_the_same(self, tmp_path, monkeypatch, parsed_by):
         monkeypatch.setattr(cli, "_CHUNK_BYTES", 16)
@@ -1175,10 +1230,10 @@ FLAG_MUTATIONS = tuple(
 
 class TestCliContract:
     """On any small dataset, each command exits 0 with finite JSON, or 1 with
-    one error line: no traceback and no warning, the same bytes on a rerun and
-    on the CRLF copy of the file. So does each command with one config value
-    or flag set to an extreme or invalid value; its error names the key or
-    flag."""
+    one error line and no output directory: no traceback and no warning, the
+    same bytes on a rerun and on the CRLF copy of the file. So does each
+    command with one config value or flag set to an extreme or invalid value;
+    its error names the key or flag."""
 
     @staticmethod
     def outcome(argv, out):
@@ -1193,6 +1248,7 @@ class TestCliContract:
         if code == 1:
             assert error.startswith("survmix: error: ") and error.count("\n") == 1 \
                 and error.endswith("\n"), error
+            assert not os.path.exists(out), (argv, error)  # a failed run makes no directory
             return code, error
         assert code == 0 and not error, (code, error)
         if argv[0] not in ("fit", "estimands"):
