@@ -23,10 +23,10 @@ from . import __version__
 from .config import _checked, _parse_floats, default_config, load_config
 from .estimands import (EstimatedCurves, censoring_sensitivity, landmark_contrast,
                         log_survival_ratio, rmst)
-from .estimators import _check, check_cutpoints, cox_fit, fit_report, period_specific_cox
+from .estimators import check_cutpoints, cox_fit, fit_report, period_specific_cox
 from .frailty import default_grid, truth_curves
-from .trial import (_DATASET_COLUMNS, CensoringSpec, check_covariates, covariate_matrix,
-                    simulate)
+from .trial import (_DATASET_COLUMNS, CensoringSpec, check_columns, check_covariates,
+                    covariate_matrix, simulate)
 
 DATASET_FILE = "dataset.csv"
 CURVES_FILE = "curves.csv"
@@ -146,7 +146,8 @@ def write_dataset(dataset, out_dir, reveal_latent=False):
 
 
 def read_dataset_csv(path):
-    """Parse a dataset CSV back into columns, naming the row on any error.
+    """Parse a dataset CSV back into columns, naming the row on any error in
+    them; an OSError opening or reading the file passes to the caller.
 
     A line ends at a newline byte or at the end of the file, and one
     carriage return at its end is dropped; each line is decoded as UTF-8 on
@@ -157,37 +158,39 @@ def read_dataset_csv(path):
     per-row parser, whose errors name the bad row, parses a chunk that holds
     any other byte or that numpy rejects.
     """
-    try:
-        with open(path, "rb") as fh:
-            first = fh.readline()
-            if not first:
-                raise InputError(f"{path}: empty file")
-            header = _check_header(path, _line_text(path, 1, first).split(","))
-            rows, last = 0, b"\n"
-            while block := fh.read(_CHUNK_BYTES):
-                rows += block.count(b"\n")
-                last = block[-1:]
-            rows += last != b"\n"  # a last row with no newline
-            if not rows:
-                raise InputError(f"{path}: no data rows")
-            dtype = [(name, _DATASET_COLUMNS[name].dtype) for name in header]
-            columns = {name: np.empty(rows, column_dtype) for name, column_dtype in dtype}
-            fh.seek(len(first))
-            stop = 0
-            while lines := fh.readlines(_CHUNK_BYTES):
-                start, stop = stop, stop + len(lines)
-                if stop > rows:  # more rows than the first pass counted
-                    break
-                records = _parse_plain(lines, dtype)
-                if records is None:
-                    records = _parse_rows(path, header, lines, start + 2)
-                for name in header:
-                    columns[name][start:stop] = records[name]
-    except OSError as err:
-        raise InputError(f"cannot read dataset {path}: {err}") from None
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first:
+            raise InputError(f"{path}: empty file")
+        header = _check_header(path, _line_text(path, 1, first).split(","))
+        rows, last = 0, b"\n"
+        while block := fh.read(_CHUNK_BYTES):
+            rows += block.count(b"\n")
+            last = block[-1:]
+        rows += last != b"\n"  # a last row with no newline
+        if not rows:
+            raise InputError(f"{path}: no data rows")
+        dtype = [(name, _DATASET_COLUMNS[name].dtype) for name in header]
+        columns = {name: np.empty(rows, column_dtype) for name, column_dtype in dtype}
+        fh.seek(len(first))
+        stop = 0
+        while lines := fh.readlines(_CHUNK_BYTES):
+            start, stop = stop, stop + len(lines)
+            if stop > rows:  # more rows than the first pass counted
+                break
+            records = _parse_plain(lines, dtype)
+            if records is None:
+                records = _parse_rows(path, header, lines, start + 2)
+            for name in header:
+                columns[name][start:stop] = records[name]
     if stop != rows:
         raise InputError(f"{path}: changed while it was read")
-    return _check_columns(path, columns)
+    try:
+        check_columns(columns, first_row=2)
+    except ValueError as err:
+        raise InputError(f"{path} {err}") from None
+    columns["event"] = columns["event"].astype(bool)
+    return columns
 
 
 def _check_header(path, header):
@@ -276,34 +279,6 @@ def _float(field):
     if not _FLOAT_FIELD.fullmatch(field):
         raise ValueError(f"{field!r} is not a float")
     return float(field)
-
-
-def _check_columns(path, out):
-    """The value checks on parsed columns; `event` comes back as bool."""
-    _check_values(path, out, ("event", "arm", "observed_time"))
-    out["event"] = out["event"].astype(bool)
-    ids = out["id"]
-    # strictly increasing ids, as simulate writes them, repeat none; otherwise
-    # a stable sort puts each id's first row first and the rows after it repeat it
-    if not np.all(ids[1:] > ids[:-1]):
-        order = np.argsort(ids, kind="stable")
-        repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
-        if repeats.size:
-            row = repeats.min()
-            raise InputError(f"{path} row {row + 2}: duplicate id {ids[row]}")
-    # the latent columns come last: a file the checks above reject keeps their message
-    _check_values(path, out, [name for name, column in _DATASET_COLUMNS.items()
-                              if column.latent and name in out])
-    return out
-
-
-def _check_values(path, out, names):
-    """Name the first row whose value breaks its column's rule."""
-    for name in names:
-        try:
-            _check(name, out[name], _DATASET_COLUMNS[name].rule, first_row=2)
-        except ValueError as err:
-            raise InputError(f"{path} {err}") from None
 
 
 def _write_json(path, payload):

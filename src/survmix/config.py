@@ -11,8 +11,7 @@ import configparser
 from dataclasses import dataclass
 from importlib import resources
 
-from .estimands import _check_time
-from .estimators import check_cutpoints
+from .estimators import _check_time, check_cutpoints
 from .frailty import MixtureArm, TwoArmTruth, default_grid
 from .trial import CENSORING_KINDS, CensoringSpec, TrialConfig, check_covariates
 
@@ -159,7 +158,7 @@ def _run_config(parser):
     replicates = _get(parser, "estimands", "sensitivity_replicates", int, 200, "integer")
     for field, value in (("landmark", landmark), ("rmst_horizon", rmst_horizon),
                          ("ratio_time", ratio_time)):
-        _checked(f"estimands.{field}:", _check_time, value, field)
+        _checked(f"estimands.{field}:", _check_time, field, value)
     if replicates < 2:
         raise ConfigError("estimands.sensitivity_replicates must be >= 2")
 
@@ -179,12 +178,9 @@ def _run_config(parser):
 
 
 def load_config(path):
-    """Read and parse a configuration file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from None
+    """Read and parse a configuration file; an OSError passes to the caller."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     return parse_config(text, origin=str(path))
 
 

@@ -16,8 +16,8 @@ from . import _pool, rng
 # cox_fit_dataset and simulate are not called here: they are the
 # per-replicate reference of censoring_sensitivity, and perfbench/tracing.py
 # wraps them under these names
-from .estimators import (StepCurve, _arm, _check_integer, _sample, cox_fit_dataset,
-                         cox_log_hr_stack, kaplan_meier)
+from .estimators import (StepCurve, _arm, _check_integer, _check_time, _sample,
+                         cox_fit_dataset, cox_log_hr_stack, kaplan_meier)
 from .frailty import TwoArmTruth, cumulative_hazard, marginal_survival
 from .trial import censored_replicates, simulate
 
@@ -25,12 +25,6 @@ SOURCE_TRUTH = "truth"
 SOURCE_ESTIMATED = "estimated"
 
 LANDMARK_KINDS = ("difference", "ratio", "risk_difference")
-
-
-def _check_time(t, what):
-    """Raise a ValueError naming `what` unless 0 < t < inf."""
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"{what} must be finite and > 0, got {t:g}")
 
 
 @dataclass(frozen=True)
@@ -42,7 +36,7 @@ class EstimandReport:
     per_arm: dict
 
     def __post_init__(self):
-        _check_time(self.horizon, "estimand horizon")
+        _check_time("estimand horizon", self.horizon)
         if not math.isfinite(self.value):
             raise ValueError(f"estimand {self.name} at t={self.horizon:g} is not finite: "
                              f"{self.value}")
@@ -97,7 +91,7 @@ def landmark_contrast(source, t_star, kind="difference"):
     """Contrast of the arm survival probabilities at the landmark t_star."""
     if kind not in LANDMARK_KINDS:
         raise ValueError(f"kind must be one of {LANDMARK_KINDS}, got {kind!r}")
-    _check_time(t_star, "landmark time")
+    _check_time("landmark time", t_star)
     s0, s1 = _survival_pair(source, t_star)
     if kind == "difference":
         value = s1 - s0
@@ -141,7 +135,7 @@ def _rmst_step(curve, tau):
 def rmst(source, arm, horizon):
     """Restricted mean survival time to `horizon` for one arm, or the
     research-minus-control difference when arm='difference'."""
-    _check_time(horizon, "rmst horizon")
+    _check_time("rmst horizon", horizon)
     if arm not in ("control", "research", "difference"):
         raise ValueError(f"arm must be control, research or difference, got {arm!r}")
     per_arm = {}
@@ -176,7 +170,7 @@ def log_survival_ratio(source, t):
     where either is below the smallest normal float: a subnormal S has lost
     the digits that log S needs, and 0 has none.
     """
-    _check_time(t, "time")
+    _check_time("time", t)
     s0, s1 = _survival_pair(source, t)
     for label, s in (("control", s0), ("research", s1)):
         if not np.finfo(float).tiny <= s < 1.0:

@@ -109,6 +109,13 @@ def _check(name, values, rule, first_row=0):
         raise ValueError(f"{where}: {name} must be {text}, got {values[index]:g}")
 
 
+def _check_time(name, value):
+    """Raise a ValueError naming `name` and the scalar `value` unless it meets
+    _TIME's rule; it also holds for a rate or a weight."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be {_TIME[0]}, got {value:g}")
+
+
 def _check_integer(name, value):
     """Raise a ValueError unless `value` is an integer; bool is an Integral,
     but True is no count."""
@@ -155,8 +162,9 @@ def check_cutpoints(cutpoints):
         raise ValueError(f"cutpoints must be a sequence of numbers, not the string "
                          f"{cutpoints!r}")
     cutpoints = tuple(float(c) for c in cutpoints)
-    if len(cutpoints) == 0 or not all(0.0 < c < math.inf for c in cutpoints) \
-            or any(b <= a for a, b in zip(cutpoints, cutpoints[1:])):
+    for c in cutpoints:
+        _check_time("cutpoints", c)
+    if len(cutpoints) == 0 or any(b <= a for a, b in zip(cutpoints, cutpoints[1:])):
         raise ValueError("cutpoints must be finite, strictly increasing and > 0")
     return cutpoints
 

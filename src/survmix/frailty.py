@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
-from .estimators import _check_integer
+from .estimators import _check_integer, _check_time
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -60,12 +60,12 @@ class MixtureArm:
         object.__setattr__(self, "rates", rates)
         if len(weights) < 1 or len(weights) != len(rates):
             raise ValueError("weights and rates must be equal-length, K >= 1")
-        if not all(0.0 < w < math.inf for w in weights):
-            raise ValueError(f"all weights must be finite and > 0, got {weights}")
+        for w in weights:
+            _check_time("all weights", w)
         if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got sum {sum(weights)!r}")
-        if not all(0.0 < r < math.inf for r in rates):
-            raise ValueError(f"all rates must be finite and > 0, got {rates}")
+        for r in rates:
+            _check_time("all rates", r)
 
     @property
     def n_strata(self):

@@ -15,14 +15,13 @@ pure function of (seed, individual id, stream), so generation order and
 parallelism cannot change a dataset.
 """
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
-from .estimators import _FLAG, _TIME, _check, _check_integer
+from .estimators import _FLAG, _TIME, _check, _check_integer, _check_time
 from .frailty import TwoArmTruth
 
 COUPLING_COMONOTONE = "comonotone"
@@ -38,7 +37,7 @@ DEFAULT_N_PER_ARM = 500
 
 # The dataset columns in the order simulate writes them: each one's dtype,
 # whether only --reveal-latent writes it, and the rule its values must meet
-# (a dataset file's reader also checks that no id repeats)
+# (check_columns also checks that no id repeats)
 _Column = namedtuple("_Column", "dtype latent rule")
 _DATASET_COLUMNS = {
     "id": _Column(np.int64, False, None),
@@ -51,6 +50,26 @@ _DATASET_COLUMNS = {
 }
 
 
+def check_columns(columns, first_row):
+    """Raise a ValueError naming the first row, counted from `first_row`, whose
+    value in `columns` breaks its column's rule or repeats an id: event, arm
+    and observed_time first, then the ids, then any latent columns."""
+    for name in ("event", "arm", "observed_time"):
+        _check(name, columns[name], _DATASET_COLUMNS[name].rule, first_row)
+    ids = columns["id"]
+    # strictly increasing ids, as simulate makes them, repeat none; otherwise
+    # a stable sort puts each id's first row first and the rows after it repeat it
+    if not np.all(ids[1:] > ids[:-1]):
+        order = np.argsort(ids, kind="stable")
+        repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+        if repeats.size:
+            row = repeats.min()
+            raise ValueError(f"row {row + first_row}: duplicate id {ids[row]}")
+    for name, column in _DATASET_COLUMNS.items():
+        if column.latent and name in columns:
+            _check(name, columns[name], column.rule, first_row)
+
+
 @dataclass(frozen=True)
 class CensoringSpec:
     """Right-censoring on top of the potential event times: at admin_time, at
@@ -61,10 +80,9 @@ class CensoringSpec:
     rate: float = None
 
     def __post_init__(self):
-        if self.admin_time is not None and not 0.0 < self.admin_time < math.inf:
-            raise ValueError("administrative censoring needs a finite admin_time > 0")
-        if self.rate is not None and not 0.0 < self.rate < math.inf:
-            raise ValueError("exponential censoring needs a finite rate > 0")
+        for name in ("admin_time", "rate"):
+            if getattr(self, name) is not None:
+                _check_time(name, getattr(self, name))
 
     @property
     def kind(self):
@@ -131,20 +149,21 @@ def covariate_matrix(columns, names):
 class Dataset:
     """Simulated trial data, stored column-wise; immutable after creation.
 
-    One array per column of _DATASET_COLUMNS, each meeting its rule; the id
-    column is the attribute `ids`, and event is bool.
+    One array per column of _DATASET_COLUMNS, meeting check_columns as a
+    dataset file must; the id column is the attribute `ids`, and event is bool.
     """
 
     def __init__(self, ids, arm, stratum, potential_time_0, potential_time_1,
                  observed_time, event, config):
         self.config = config
         n = np.size(ids)
-        for (name, column), values in zip(_DATASET_COLUMNS.items(), (
-                ids, arm, stratum, potential_time_0, potential_time_1, observed_time, event)):
-            values = np.asarray(values)
+        columns = dict(zip(_DATASET_COLUMNS, map(np.asarray, (
+            ids, arm, stratum, potential_time_0, potential_time_1, observed_time, event))))
+        for name, values in columns.items():
             if values.shape != (n,):
                 raise ValueError(f"column {name} has shape {values.shape}, expected ({n},)")
-            _check(name, values, column.rule)
+        check_columns(columns, first_row=0)
+        for (name, column), values in zip(_DATASET_COLUMNS.items(), columns.values()):
             values = values.astype(bool if name == "event" else column.dtype, copy=False)
             values.flags.writeable = False
             setattr(self, "ids" if name == "id" else name, values)
@@ -186,10 +205,16 @@ def _potential_times(config, seed):
     e1 = e0
     if config.coupling == COUPLING_INDEPENDENT:
         e1 = -np.log(rng.substream_uniforms(seed, ids, rng.STREAM_EVENT_SECONDARY))
-    # a time past the largest float is inf, which the sample rules refuse
-    with np.errstate(over="ignore"):
-        return (ids, arm, stratum, e0 / np.asarray(truth.control.rates)[stratum],
-                e1 / np.asarray(truth.research.rates)[stratum])
+    times = []
+    for label, e in (("control", e0), ("research", e1)):
+        rates = getattr(truth, label).rates
+        with np.errstate(over="ignore"):  # past the largest float: inf, refused below
+            times.append(e / np.asarray(rates)[stratum])
+        if times[-1].max() == np.inf:
+            k = stratum.flat[np.argmax(times[-1])]
+            raise ValueError(f"[truth.{label}] rates: rate {rates[k]!r} of stratum {k} "
+                             "puts a potential time past the largest float")
+    return (ids, arm, stratum, *times)
 
 
 def _censor(seed, ids, arm, t0, t1, specs):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import warnings
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from survmix import CensoringSpec, TrialConfig, simulate
+from survmix import CensoringSpec, Dataset, TrialConfig, simulate
 from survmix import _csvtext, cli
 from survmix.cli import (InputError, _atomic_file, main, parse_censoring_list,
                          read_dataset_csv, write_curve_tables, write_dataset)
@@ -154,7 +155,9 @@ class TestSimulateCommand:
         cfg = tmp_path / "extreme.cfg"
         cfg.write_text(default_config_text().replace("rates = 0.1, 0.5", "rates = 1e-320, 0.5"))
         assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
-        assert "potential_time_0 must be finite and > 0, got inf\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "survmix: error: [truth.control] rates: rate 1e-320 of stratum 0 puts a "
+            "potential time past the largest float\n")
         assert not (tmp_path / "out" / "dataset.csv").exists()
 
     def test_round_trip_write_read_write(self, tmp_path):
@@ -369,7 +372,7 @@ class TestFitCommand:
                     in capsys.readouterr().err)
 
     def test_missing_file_rejected(self):
-        assert run("fit", "/no/such/file.csv") == 1
+        assert run("fit", "/no/such/file.csv") == 2  # an I/O error
 
 
 class TestEstimandsCommand:
@@ -566,7 +569,8 @@ class TestRejectedFlagsAndKeys:
                                            ("admin:2+exp:nan", "rate")])
     def test_non_finite_censoring_spec(self, tmp_path, capsys, spec, key):
         err = self.rejected(tmp_path, capsys, "estimands", "--sensitivity", spec)
-        assert "--sensitivity: " in err and f"needs a finite {key} > 0" in err
+        value = spec.rpartition(":")[2]
+        assert err.endswith(f"--sensitivity: {key} must be finite and > 0, got {value}\n")
 
     def test_empty_censoring_spec_list(self, tmp_path, capsys):
         for spec in (",", ""):
@@ -585,7 +589,8 @@ class TestRejectedFlagsAndKeys:
         cfg.write_text(default_config_text().replace("rates = 0.1, 0.5", TINY_RATES, 1))
         err = self.rejected(tmp_path, capsys, "estimands", "--config", str(cfg),
                             "--sensitivity", "none")
-        assert err.count("\n") == 1 and err.startswith("survmix: error: --sensitivity: ")
+        assert err == ("survmix: error: --sensitivity: [truth.control] rates: rate 1e-320 "
+                       "of stratum 1 puts a potential time past the largest float\n")
 
     def test_non_finite_rmst_horizon_key(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
@@ -632,8 +637,8 @@ class TestCliPlumbing:
         cfg.write_text("[trial]\nwarp = 9\n")
         assert run("truth", "--config", str(cfg)) == 1
 
-    def test_missing_config_file_is_input_error(self):
-        assert run("truth", "--config", "/no/such.cfg") == 1
+    def test_missing_config_file_is_io_error(self):
+        assert run("truth", "--config", "/no/such.cfg") == 2
 
     def test_parse_censoring_list(self):
         specs = parse_censoring_list("none,admin:2,exp:0.1,admin:2+exp:0.1")
@@ -914,6 +919,33 @@ class TestCsvLayer:
             assert parsed_by and set(parsed_by) == {"numpy"}
         assert read(tmp_path / "crlf" / "fit.json") == read(tmp_path / "lf" / "fit.json")
 
+    @pytest.mark.parametrize("changes, row, cause", [
+        ({"id": (3, 1)}, 3, "duplicate id 1"),
+        ({"stratum": (1, -1)}, 1, "stratum must be >= 0, got -1"),
+        ({"potential_time_0": (2, 0.0)}, 2, "potential_time_0 must be finite and > 0, got 0"),
+        # event, arm and observed_time first, then the ids, then the latent columns
+        ({"id": (3, 1), "stratum": (0, -1)}, 3, "duplicate id 1"),
+        ({"id": (1, 0), "arm": (3, 2)}, 3, "arm must be 0 or 1, got 2"),
+        ({"observed_time": (3, np.inf), "event": (2, 2)}, 2, "event must be 0 or 1, got 2"),
+    ])
+    def test_dataset_and_reader_refuse_alike(self, tmp_path, changes, row, cause):
+        # the same check: rows counted from 0 in a Dataset, from 2 in a file
+        columns = {"id": [0, 1, 2, 3], "arm": [0, 0, 1, 1], "stratum": [0, 1, 0, 1],
+                   "potential_time_0": [1.0, 2.0, 3.0, 4.0],
+                   "potential_time_1": [2.0, 3.0, 4.0, 5.0],
+                   "observed_time": [1.0, 2.0, 4.0, 5.0], "event": [1, 1, 1, 1]}
+        for name, (index, value) in changes.items():
+            columns[name][index] = value
+        path = tmp_path / "dataset.csv"
+        path.write_text(LATENT_HEADER + "\n" + "".join(
+            ",".join(str(columns[name][i]) for name in LATENT_HEADER.split(",")) + "\n"
+            for i in range(4)))
+        with pytest.raises(ValueError, match=f"^row {row}: {re.escape(cause)}$"):
+            Dataset(*columns.values(), config=None)
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))} row {row + 2}: "
+                                             f"{re.escape(cause)}$"):
+            read_dataset_csv(str(path))
+
     def test_ids_in_any_order(self, tmp_path):
         # simulate writes increasing ids; any order passes while no id repeats
         path = tmp_path / "dataset.csv"
@@ -1186,20 +1218,19 @@ CONTRACT_DATASET = "id,arm,observed_time,event\n" + "".join(
     f"{i},{i % 2},{i + 1}.5,{int(i % 3 > 0)}\n" for i in range(8))
 # each command the mutations run, None standing for the dataset path
 CONTRACT_RUNS = {"truth": ("truth",), "simulate": ("simulate",), "estimands": ("estimands",),
-                 "sensitivity": ("estimands", "--sensitivity", "admin:2,exp:0.1"),
+                 "sensitivity": ("estimands", "--sensitivity", "none,admin:2,exp:0.1"),
                  "fit": ("fit", None)}
 # zero, the least and greatest floats, values near them, nan, inf, a negative
 # number and nothing
 CONTRACT_VALUES = ("0", "5e-324", "1e-300", "1e308", "1.7976931348623157e308", "nan", "inf",
                    "-1", "")
 # (the text of CONTRACT_CONFIG that a mutation replaces, its replacement with
-# {} for the value, and the names an error may give for it: simulate names the
-# potential-time column that a rate puts past the largest float)
+# {} for the value, and the names an error may give for it)
 CONFIG_MUTATIONS = (
-    ("rates = 0.1, 0.5", "rates = {}, 0.5", ("[truth.control]", "potential_time_0")),
-    ("rates = 0.1, 0.5", "rates = 0.1, {}", ("[truth.control]", "potential_time_0")),
-    ("rates = 0.05, 0.25", "rates = {}, 0.25", ("[truth.research]", "potential_time_1")),
-    ("rates = 0.05, 0.25", "rates = 0.05, {}", ("[truth.research]", "potential_time_1")),
+    ("rates = 0.1, 0.5", "rates = {}, 0.5", ("[truth.control]",)),
+    ("rates = 0.1, 0.5", "rates = 0.1, {}", ("[truth.control]",)),
+    ("rates = 0.05, 0.25", "rates = {}, 0.25", ("[truth.research]",)),
+    ("rates = 0.05, 0.25", "rates = 0.05, {}", ("[truth.research]",)),
     ("min = 0.0", "min = {}", ("[grid]", "grid.min")),
     ("max = 30.0", "max = {}", ("[grid]", "grid.max")),
     ("points = 7", "points = {}", ("[grid]", "grid.points")),
@@ -1233,7 +1264,7 @@ class TestCliContract:
     one error line and no output directory: no traceback and no warning, the
     same bytes on a rerun and on the CRLF copy of the file. So does each
     command with one config value or flag set to an extreme or invalid value;
-    its error names the key or flag."""
+    its error names the key or flag. A missing input file exits 2."""
 
     @staticmethod
     def outcome(argv, out):
@@ -1263,17 +1294,27 @@ class TestCliContract:
 
     @staticmethod
     def assert_converged_score(path, text):
-        """A fit.json written converged re-evaluates, at its written
-        coefficients, to a score below SCORE_TOL on the dataset at `path`."""
+        """Each fit of a fit.json that reads converged re-evaluates, at its
+        written coefficients, to a score below SCORE_TOL on its own rows of
+        the dataset at `path`: all of them, or for the period [a, b) those
+        with time >= a, censored at b."""
         report = json.loads(text)
-        if not report["converged"]:
-            return
-        covariates = report.get("covariates", {"arm": report})
+        if "periods" in report:
+            fits = [(p["start"], p["end"], p["fit"]) for p in report["periods"] if p["fit"]]
+        else:
+            fits = [(0.0, np.inf, report)]
         columns = read_dataset_csv(path)
-        data = _CoxData(columns["observed_time"], columns["event"],
-                        covariate_matrix(columns, tuple(covariates)))
-        score = data.loglik_score_info(np.array([c["beta"] for c in covariates.values()]))[1]
-        assert np.max(np.abs(score)) < SCORE_TOL, (report, score)
+        time = columns["observed_time"]
+        for start, end, fit in fits:
+            if not fit["converged"]:
+                continue
+            covariates = fit.get("covariates", {"arm": fit})
+            rows = {name: column[time >= start] for name, column in columns.items()}
+            t = rows["observed_time"]
+            data = _CoxData(np.minimum(t, end), rows["event"] & (t < end),
+                            covariate_matrix(rows, tuple(covariates)))
+            score = data.loglik_score_info(np.array([c["beta"] for c in covariates.values()]))[1]
+            assert np.max(np.abs(score)) < SCORE_TOL, (start, end, fit, score)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=contract_datasets(), command=st.sampled_from(CONTRACT_COMMANDS))
@@ -1286,12 +1327,53 @@ class TestCliContract:
             with open(path, "wb") as fh:
                 fh.write(data)
             first = self.outcome(argv, os.path.join(tmp, "lf"))
-            if command[0] == "fit" and "--cutpoints" not in command and first[0] == 0:
+            if command[0] == "fit" and first[0] == 0:
                 self.assert_converged_score(path, first[1])
             assert self.outcome(argv, os.path.join(tmp, "rerun")) == first
             with open(path, "wb") as fh:
                 fh.write(data.replace(b"\n", b"\r\n"))
             assert self.outcome(argv, os.path.join(tmp, "crlf")) == first
+
+    @pytest.mark.parametrize("argv", [("fit", None), ("truth", "--config", None)],
+                             ids=["dataset", "config"])
+    def test_missing_input_exits_2_naming_it(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "missing"), os.path.join(tmp, "out")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main([path if arg is None else arg for arg in argv] + ["--out", out])
+            assert not os.path.exists(out)
+        error = stderr.getvalue()
+        assert code == 2 and error.startswith("survmix: i/o error: ") \
+            and error.endswith(f"{path!r}\n") and error.count("\n") == 1, error
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), n_per_arm=st.integers(20, 60),
+           coupling=st.sampled_from(("comonotone", "independent")),
+           censoring=st.sampled_from(("kind = none", "kind = administrative\nadmin_time = 8",
+                                      "kind = exponential\nrate = 0.05",
+                                      "kind = both\nadmin_time = 8\nrate = 0.05")))
+    def test_simulated_file_fits_and_reruns_to_the_same_bytes(self, seed, n_per_arm,
+                                                              coupling, censoring):
+        # enough rows per arm, with these censorings, that every arm has events
+        config = (CONTRACT_CONFIG.replace("n_per_arm = 20", f"n_per_arm = {n_per_arm}")
+                  .replace("coupling = comonotone", f"coupling = {coupling}")
+                  .replace("kind = none", censoring))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(config)
+            sim = os.path.join(tmp, "sim")
+            assert self.outcome(["simulate", "--reveal-latent", "--config", cfg, "--seed",
+                                 str(seed)], sim) == (0, "")
+            path = os.path.join(sim, cli.DATASET_FILE)
+            for i, command in enumerate(CONTRACT_COMMANDS):
+                argv = [path if arg is None else arg for arg in command]
+                first = self.outcome(argv, os.path.join(tmp, f"{i}a"))
+                assert first[0] == 0
+                assert self.outcome(argv, os.path.join(tmp, f"{i}b")) == first
+                if command[0] == "fit":
+                    self.assert_converged_score(path, first[1])
 
     def assert_names(self, run, extra, config, names):
         """Run the command `run` with `extra` argv and the config text
@@ -1317,6 +1399,9 @@ class TestCliContract:
     @example(run="truth", mutation=CONFIG_MUTATIONS[2], value="1.7976931348623157e308")
     # censoring times past the largest float
     @example(run="simulate", mutation=CONFIG_MUTATIONS[8], value="5e-324")
+    # a potential time past the largest float, in the dataset and in a replicate
+    @example(run="simulate", mutation=CONFIG_MUTATIONS[1], value="1e-320")
+    @example(run="sensitivity", mutation=CONFIG_MUTATIONS[1], value="1e-320")
     # a finite grid whose linspace overflows, checked by every command
     @example(run="fit", mutation=CONFIG_MUTATIONS[5], value="1.7976931348623157e308")
     # a ratio time where the control survival is 0

@@ -44,9 +44,10 @@ class TestCensoringSpecValidation:
         with pytest.raises(ValueError, match="rate"):
             CensoringSpec(rate=-1.0)
         for value in (float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="finite admin_time"):
+            with pytest.raises(ValueError, match=f"^admin_time must be finite and > 0, "
+                                                 f"got {value:g}$"):
                 CensoringSpec(admin_time=value, rate=0.1)
-            with pytest.raises(ValueError, match="finite rate"):
+            with pytest.raises(ValueError, match=f"^rate must be finite and > 0, got {value:g}$"):
                 CensoringSpec(admin_time=2.0, rate=value)
 
     def test_extraneous_parameters_rejected(self):
@@ -140,6 +141,7 @@ class TestSimulateStructure:
         ("stratum", -1, "row 3: stratum must be >= 0, got -1"),
         ("potential_time_1", np.inf, "row 3: potential_time_1 must be finite and > 0, got inf"),
         ("observed_time", 0.0, "row 3: observed_time must be finite and > 0, got 0"),
+        ("ids", 1, "row 3: duplicate id 1"),  # as the dataset reader refuses it
     ])
     def test_dataset_rejects_a_value_against_its_rule(self, column, value, message):
         columns = four_row_columns()
